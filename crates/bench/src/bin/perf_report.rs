@@ -19,7 +19,9 @@
 //!   the noise guard for very fast grids) of the disabled baseline;
 //! - **journal determinism** — the continuous full-epoch grid's decision
 //!   journals must be byte-identical between serial and parallel runs;
-//! - **phase accounting** — each profiled run's summed phase wall time must
+//! - **phase accounting** — each profiled run's summed top-level phase
+//!   wall time (plan + des + scaler; search and carry are nested inside
+//!   plan and des, so adding them would count those seconds twice) must
 //!   stay within `threads × wall` (phase clocks tick concurrently, so the
 //!   sum can exceed wall — but never the thread count times it);
 //! - **parallel speedup** — the continuous full-epoch grid (two cells,
@@ -333,14 +335,18 @@ fn run_grid(grid: Grid, threads: usize, runs: usize) -> GridResult {
         // sanity-check each repeat on its own: summed phase seconds can
         // exceed this run's wall (threads tick concurrently) but never by
         // more than the worker count — anything past that means the
-        // accumulator is mixing runs again.
+        // accumulator is mixing runs again. Only top-level phases count:
+        // nested ones are already inside their parents' seconds.
         let mut run_phases = PhaseTotals::default();
         for (_, report) in &pairs {
             if let Some(p) = report.phases.as_ref() {
                 run_phases.merge(p);
             }
         }
-        let run_total: f64 = Phase::ALL.into_iter().map(|p| run_phases.secs(p)).sum();
+        let run_total: f64 = Phase::TOP_LEVEL
+            .into_iter()
+            .map(|p| run_phases.secs(p))
+            .sum();
         phase_bound_ok &= run_total <= threads as f64 * wall * 1.05 + 0.05;
         phases.merge(&run_phases);
     }

@@ -19,9 +19,15 @@
 //! carbon ledger later multiplies these joules by the time-varying grid
 //! intensity.
 //!
+//! Events live in one [`EventQueue`]: completions and injected failures in
+//! its heap of packed `(time bits, insertion number)` keys, and the single
+//! pending arrival in its out-of-heap source slot. Both draw from one
+//! insertion counter, so events pop by time with ties in scheduling order,
+//! exactly as from a single heap.
+//!
 //! The simulator is built for reuse: an experiment runs hundreds of hourly
 //! windows (plus the optimizer's evaluation windows) against one
-//! [`ServingSim`], so the per-window working state — event heap, FIFO,
+//! [`ServingSim`], so the per-window working state — event queue, FIFO,
 //! instance table, idle list, per-variant counters, latency histogram —
 //! lives in a `SimScratch` that is reset (allocation kept) rather than
 //! reallocated each window. The model family is shared by `Arc`, making
@@ -700,7 +706,7 @@ impl ServingSim {
         }
 
         if let Some(first) = arrivals.next_after(SimTime::ZERO, &mut arrival_rng) {
-            q.schedule(first, Ev::Arrive);
+            q.schedule_source(first, Ev::Arrive);
         }
 
         while let Some(next_t) = q.peek_time() {
@@ -716,7 +722,7 @@ impl ServingSim {
                 Ev::Arrive => {
                     if now <= horizon {
                         if let Some(next) = arrivals.next_after(now, &mut arrival_rng) {
-                            q.schedule(next, Ev::Arrive);
+                            q.schedule_source(next, Ev::Arrive);
                         }
                     } else {
                         continue; // past the horizon: stop generating

@@ -13,7 +13,7 @@
 //! epoch's arrivals — is routed to a shard by a deterministic smooth
 //! weighted round-robin whose weights are each shard's service capacity
 //! `Σ 1/mean_service_s`. Each shard then runs the very same DES body as the
-//! classic engine over its own queue, idle list, and event heap.
+//! classic engine over its own queue, idle list, and event queue.
 //!
 //! Sharded physics is *not* bit-identical to the 1-shard queue (a K-sharded
 //! system has K queues; the paper's single-queue results keep the default
@@ -467,12 +467,13 @@ fn run_shard(mut task: ShardTask) -> ShardDone {
         }
     }
 
-    // Arrivals are chained through the heap one at a time (schedule the
-    // next when the current pops) so the heap stays small and the queue's
-    // clock — which `start_service` schedules against — is always current.
+    // Arrivals are chained one at a time through the queue's source slot
+    // (schedule the next when the current pops), so the heap holds only
+    // completions and faults and the queue's clock — which `start_service`
+    // schedules against — is always current.
     let mut next_arrival = 0usize;
     if let Some(&t) = task.arrivals.first() {
-        q.schedule(t, Ev::Arrive);
+        q.schedule_source(t, Ev::Arrive);
         next_arrival = 1;
     }
 
@@ -485,7 +486,7 @@ fn run_shard(mut task: ShardTask) -> ShardDone {
         match ev {
             Ev::Arrive => {
                 if next_arrival < task.arrivals.len() {
-                    q.schedule(task.arrivals[next_arrival], Ev::Arrive);
+                    q.schedule_source(task.arrivals[next_arrival], Ev::Arrive);
                     next_arrival += 1;
                 }
                 arrived += 1;

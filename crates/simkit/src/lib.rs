@@ -6,8 +6,10 @@
 //! The paper evaluates Clover on a real five-node A100 testbed over 48
 //! wall-clock hours. This crate provides the substrate that lets us replay
 //! the same experiments in virtual time: a monotonically advancing simulated
-//! clock ([`SimTime`]), a stable-ordering event heap ([`EventQueue`]), a
-//! seedable counter-free PRNG ([`SimRng`]) so every experiment is exactly
+//! clock ([`SimTime`]), a stable-ordering event queue ([`EventQueue`]:
+//! one heap of packed `(time bits, insertion number)` integer keys, so
+//! ties break by insertion order, plus an out-of-heap slot for a recurring
+//! source such as an arrival stream), a seedable counter-free PRNG ([`SimRng`]) so every experiment is exactly
 //! reproducible, and the streaming statistics (Welford accumulators, P²
 //! quantile estimation, latency histograms) needed to report p95 tail
 //! latency and energy integrals over tens of millions of requests without

@@ -32,6 +32,13 @@ impl SimTime {
         SimTime(secs)
     }
 
+    /// Rebuilds an instant from the `f64` bits of an existing instant (the
+    /// event queue's packed keys), skipping [`SimTime::from_secs`]'s
+    /// re-validation: the bits came from a valid `SimTime`.
+    pub(crate) fn from_valid_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
+    }
+
     /// Creates an instant from hours since the epoch.
     pub fn from_hours(hours: f64) -> Self {
         Self::from_secs(hours * 3600.0)

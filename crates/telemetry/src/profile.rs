@@ -44,6 +44,11 @@ impl Phase {
         Phase::Carry,
     ];
 
+    /// The phases no other phase contains: `Search` runs inside `Plan` and
+    /// `Carry` inside `Des`, so summing [`Phase::ALL`] counts those
+    /// seconds twice. Sum these to total a run's profiled time.
+    pub const TOP_LEVEL: [Phase; 3] = [Phase::Plan, Phase::Des, Phase::Scaler];
+
     /// Number of phases.
     pub const COUNT: usize = Self::ALL.len();
 
