@@ -3,10 +3,11 @@
 //! The evaluation harness: one binary per table/figure of the paper under
 //! `src/bin/` (`fig01`–`fig16`, `table1`, `ablation_ged`, plus the
 //! beyond-the-paper `fig_autoscale` elastic-fleet study and the
-//! `perf_report` engine gate), criterion micro-benchmarks of the hot paths
-//! under `benches/`, and this library of shared scaffolding ([`harness`]):
-//! figure headers/rows, the standard Sec. 5.1 experiment configuration,
-//! and parallel grid fan-out (`run_cells`/`run_grid`).
+//! `perf_report` engine gate), and this library of shared scaffolding
+//! ([`harness`]): figure headers/rows, the standard Sec. 5.1 experiment
+//! configuration, and parallel grid fan-out (`run_cells`/`run_grid`).
+//! Per-layer micro-timings live in the repository benchmark
+//! (`perfbench/`, its `layers` module).
 //!
 //! Environment knobs honored by the binaries:
 //!

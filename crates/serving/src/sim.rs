@@ -34,11 +34,13 @@
 //! simulator construction O(1) instead of a deep clone of the zoo tables.
 
 use crate::deployment::Deployment;
+use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel, VariantId};
 use clover_simkit::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime};
-use clover_telemetry::{Phase, ProfilerHandle};
+use clover_telemetry::{Phase, PhaseScope, ProfilerHandle};
 use clover_workload::{ArrivalProcess, PoissonProcess};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -272,6 +274,33 @@ impl SimScratch {
         self.per_variant.resize(n_variants, 0);
         self.hist.clear();
     }
+
+    /// Readies the scratch for a run over `instances` (a whole deployment
+    /// or one shard's stripe of it, in local order): emptied, buffers
+    /// retained, and the instance table built with its physics precomputed.
+    fn prepare<'a>(
+        &mut self,
+        family: &ModelFamily,
+        perf: &PerfModel,
+        instances: impl Iterator<Item = &'a (VariantId, SliceType)>,
+    ) {
+        self.reset(family.len());
+        self.instances.extend(instances.map(|&(v, slice)| {
+            let variant = family.variant(v);
+            Instance {
+                variant: v,
+                mean_service_s: perf.service_time(variant, slice).as_secs(),
+                busy_w: perf.busy_power_w(variant, slice),
+                idle_w: perf.power.idle_slice_w(slice),
+                in_flight: None,
+                pending_interval: None,
+                busy_in_span_s: 0.0,
+                up: true,
+                gen: 0,
+                down_at_s: None,
+            }
+        }));
+    }
 }
 
 /// One request mid-service at an epoch boundary: which instance holds it,
@@ -351,11 +380,30 @@ impl ServingCarry {
     /// longer exist) and contribute their ages alone. Returns the combined
     /// ages oldest-first and leaves the carry a cold start.
     pub fn drain_for_migration(&mut self) -> Vec<f64> {
-        let mut ages = std::mem::take(&mut self.queue_ages_s);
-        ages.extend(self.in_flight.drain(..).map(|r| r.age_s));
-        self.deployment = None;
+        let ages = self.requeued_ages();
+        *self = ServingCarry::default();
+        ages
+    }
+
+    /// Every carried request as a waiting age, oldest first: in-flight
+    /// requests lose their partial service and keep only their age.
+    fn requeued_ages(&self) -> Vec<f64> {
+        let mut ages: Vec<f64> = self.in_flight.iter().map(|r| r.age_s).collect();
+        ages.extend_from_slice(&self.queue_ages_s);
         ages.sort_by(|a, b| b.partial_cmp(a).expect("finite request ages"));
         ages
+    }
+
+    /// Resolves the carry against the deployment about to serve it: the
+    /// in-flight work to restore onto its instances, and the waiting ages,
+    /// oldest first. If the deployment changed at the boundary, in-flight
+    /// work rejoins the queue instead ([`ServingCarry::requeued_ages`]).
+    fn restore_on(&self, deployment: &Deployment) -> (&[CarriedRequest], Cow<'_, [f64]>) {
+        if self.deployment.as_ref() == Some(deployment) {
+            (&self.in_flight, Cow::Borrowed(&self.queue_ages_s))
+        } else {
+            (&[], Cow::Owned(self.requeued_ages()))
+        }
     }
 
     /// Merges migrated requests into the waiting queue, preserving the
@@ -525,8 +573,9 @@ impl ServingSim {
     ///
     /// Per epoch the conservation law
     /// `carry.backlog() + arrived == served + dropped + next.backlog()`
-    /// holds exactly (debug-asserted): no request vanishes or double-counts
-    /// at a seam.
+    /// holds exactly: no request vanishes or double-counts at a seam. It is
+    /// checked on every epoch, release builds included, and a violation is
+    /// reported as a nonzero [`WindowMetrics::conservation_leak`].
     ///
     /// If the deployment changed since the carry was taken (the control
     /// plane applied a reconfiguration at the boundary), carried in-flight
@@ -556,7 +605,7 @@ impl ServingSim {
         )
     }
 
-    /// The DES window body. `carry_in: None` is the classic cold-start
+    /// The unsharded DES run. `carry_in: None` is the classic cold-start
     /// window (start empty, drain measured completions past the horizon);
     /// `Some(carry)` is the continuous path (restore, stop at the horizon,
     /// snapshot what remains). The classic path's arithmetic and RNG
@@ -571,407 +620,126 @@ impl ServingSim {
     ) -> (WindowMetrics, Option<ServingCarry>) {
         let continuous = carry_in.is_some();
         let window_rng = self.rng.fork(0x5e7);
-        let mut arrival_rng = window_rng.substream(stream::ARRIVALS);
-        let mut service_rng = window_rng.substream(stream::SERVICE);
-        let instances_spec = self.deployment.instances();
-        let m = instances_spec.len();
-        assert!(m > 0, "deployment with no instances");
+        let arrival_rng = window_rng.substream(stream::ARRIVALS);
+        let service_rng = window_rng.substream(stream::SERVICE);
+        let instances = self.deployment.instances();
+        assert!(!instances.is_empty(), "deployment with no instances");
+        self.scratch
+            .prepare(&self.family, &self.perf, instances.iter());
 
-        let scratch = &mut self.scratch;
-        scratch.reset(self.family.len());
-
-        // Precompute per-instance physics into the reusable table.
-        scratch
-            .instances
-            .extend(instances_spec.iter().map(|&(v, slice)| {
-                let variant = self.family.variant(v);
-                let mean = self.perf.service_time(variant, slice).as_secs();
-                Instance {
-                    variant: v,
-                    mean_service_s: mean,
-                    busy_w: self.perf.busy_power_w(variant, slice),
-                    idle_w: self.perf.power.idle_slice_w(slice),
-                    in_flight: None,
-                    pending_interval: None,
-                    busy_in_span_s: 0.0,
-                    up: true,
-                    gen: 0,
-                    down_at_s: None,
-                }
-            }));
-
-        let warmup_end = SimTime::ZERO + warmup;
-        let horizon = warmup_end + window;
-        let span_s = window.as_secs();
-        let warmup_end_s = warmup_end.as_secs();
-        let horizon_s = horizon.as_secs();
-
-        let q = &mut scratch.queue;
-        let fifo = &mut scratch.fifo;
-        let instances = &mut scratch.instances;
-        let per_variant = &mut scratch.per_variant;
-        let hist = &mut scratch.hist;
-        let idle = &mut scratch.idle;
-        let jitter_sigma = SERVICE_JITTER_SIGMA;
-
-        // Restore the boundary snapshot (continuous path only): in-flight
-        // requests back onto their instances with their remaining service
-        // scheduled, waiting requests back into the queue with their
-        // pre-window arrival times (negative on this window's clock).
-        let profiler = self.profiler.clone();
-        let restore_scope = profiler
-            .as_ref()
-            .filter(|_| continuous)
-            .map(|p| p.scope(Phase::Carry));
-        let mut carried_in = 0u64;
-        if let Some(carry) = &carry_in {
-            carried_in = carry.backlog();
-            if carry
-                .deployment
-                .as_ref()
-                .is_some_and(|d| d == &self.deployment)
-            {
-                for r in &carry.in_flight {
-                    let inst = &mut instances[r.instance as usize];
-                    inst.in_flight = Some(-r.age_s);
-                    // The pre-boundary part of the interval was charged to
-                    // the previous epoch; only the remainder burns here.
-                    inst.pending_interval = Some((0.0, r.remaining_s));
-                    q.schedule(
-                        SimTime::from_secs(r.remaining_s),
-                        Ev::Done {
-                            instance: r.instance,
-                            gen: 0,
-                        },
-                    );
-                }
-                for &age in &carry.queue_ages_s {
-                    fifo.push_back(-age);
-                }
-            } else {
-                // The deployment changed at the boundary: in-flight work
-                // loses its partial service and rejoins the queue ahead of
-                // the waiting requests, oldest first.
-                let mut ages: Vec<f64> = carry.in_flight.iter().map(|r| r.age_s).collect();
-                ages.extend(carry.queue_ages_s.iter().copied());
-                ages.sort_by(|a, b| b.partial_cmp(a).expect("finite carry ages"));
-                for age in ages {
-                    fifo.push_back(-age);
-                }
-            }
-        }
-
-        // Idle instances. The consumer has no placement preference (paper
-        // Sec. 4.3: instances notify the consumer when free; an arriving
-        // request finding several idle instances is dispatched uniformly at
-        // random). Under load, dispatch is completion-driven regardless.
-        idle.extend((0..m as u32).filter(|&i| instances[i as usize].in_flight.is_none()));
-
-        // A reconfiguration restore can leave waiting work next to idle
-        // instances (the queue-implies-busy invariant holds only within a
-        // window): dispatch the queue heads at the epoch's opening instant
-        // so later arrivals cannot jump carried requests.
-        while !idle.is_empty() && !fifo.is_empty() {
-            let arrived_at = fifo.pop_front().expect("non-empty queue");
-            Self::dispatch_to_idle(
-                instances,
-                idle,
-                SimTime::ZERO,
-                arrived_at,
-                jitter_sigma,
-                &mut service_rng,
-                q,
-            );
-        }
-        drop(restore_scope);
-
-        let mut arrived = 0u64;
-        let mut served = 0u64;
-        let mut completed_in_span = 0u64;
-        let mut dropped = 0u64;
-        let mut sim_events = 0u64;
-        let mut dynamic_j = 0.0f64;
-        let mut fault_kills = 0u64;
-        let mut fault_requeued = 0u64;
-
-        // Injected failures land as ordinary DES events. The schedule is
-        // consumed by this window; chaos-off runs never reach this loop
-        // body and schedule nothing.
+        // Carry restore and boundary snapshot are timed as carry work on
+        // the continuous path.
+        let profiler = self.profiler.as_ref().filter(|_| continuous);
+        let restore_scope = profiler.map(|p| p.scope(Phase::Carry));
+        // A classic window restores the empty carry: nothing.
+        let carry_in = carry_in.unwrap_or_default();
+        let (in_flight, queue_ages) = carry_in.restore_on(&self.deployment);
         let failures = std::mem::take(&mut self.pending_failures);
-        for (k, f) in failures.iter().enumerate() {
-            let at = SimTime::from_secs(f.at_s.max(0.0));
-            if at <= horizon {
-                q.schedule(at, Ev::Fault { failure: k as u32 });
-            }
-        }
-
-        if let Some(first) = arrivals.next_after(SimTime::ZERO, &mut arrival_rng) {
-            q.schedule_source(first, Ev::Arrive);
-        }
-
-        while let Some(next_t) = q.peek_time() {
-            // The continuous path stops *at* the horizon — whatever is
-            // still pending becomes the next epoch's carry instead of
-            // being drained to completion.
-            if continuous && next_t > horizon {
-                break;
-            }
-            let (now, ev) = q.pop().expect("peeked event");
-            sim_events += 1;
-            match ev {
-                Ev::Arrive => {
-                    if now <= horizon {
-                        if let Some(next) = arrivals.next_after(now, &mut arrival_rng) {
-                            q.schedule_source(next, Ev::Arrive);
-                        }
-                    } else {
-                        continue; // past the horizon: stop generating
-                    }
-                    if now >= warmup_end {
-                        arrived += 1;
-                    }
-                    if !idle.is_empty() {
-                        Self::dispatch_to_idle(
-                            instances,
-                            idle,
-                            now,
-                            now.as_secs(),
-                            jitter_sigma,
-                            &mut service_rng,
-                            q,
-                        );
-                    } else if fifo.len() < MAX_QUEUE {
-                        fifo.push_back(now.as_secs());
-                    } else if now >= warmup_end {
-                        dropped += 1;
-                    }
-                }
-                Ev::Fault { failure } => {
-                    let f = &failures[failure as usize];
-                    // Collect the dying instances' in-flight arrivals so
-                    // they can rejoin the queue oldest-first.
-                    let mut requeue: Vec<f64> = Vec::new();
-                    for &inst_idx in &f.instances {
-                        let i = inst_idx as usize;
-                        if i >= instances.len() || !instances[i].up {
-                            continue;
-                        }
-                        let inst = &mut instances[i];
-                        inst.up = false;
-                        inst.gen = inst.gen.wrapping_add(1);
-                        inst.down_at_s = Some(now.as_secs());
-                        fault_kills += 1;
-                        // The aborted request burned power up to the
-                        // failure instant; its scheduled completion is now
-                        // stale (old generation) and will be discarded.
-                        if let Some((a, _)) = inst.pending_interval.take() {
-                            inst.pending_interval = Some((a, now.as_secs()));
-                        }
-                        inst.fold_interval(warmup_end_s, horizon_s);
-                        if let Some(arr) = inst.in_flight.take() {
-                            requeue.push(arr);
-                            fault_requeued += 1;
-                        }
-                        idle.retain(|&j| j != inst_idx);
-                    }
-                    // Oldest first, ahead of everything already waiting.
-                    requeue.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
-                    for &arr in requeue.iter().rev() {
-                        fifo.push_front(arr);
-                    }
-                }
-                Ev::Done { instance, gen } => {
-                    let i = instance as usize;
-                    if instances[i].gen != gen {
-                        continue; // stale completion of a failed instance
-                    }
-                    instances[i].fold_interval(warmup_end_s, horizon_s);
-                    let arrived_at = instances[i]
-                        .in_flight
-                        .take()
-                        .expect("completion for idle instance");
-                    // Classic path: measure requests that arrived within
-                    // the span. Continuous path: measure every completion
-                    // in the epoch — carried requests included, with their
-                    // full seam-spanning latency.
-                    if continuous || (arrived_at >= warmup_end_s && arrived_at <= horizon_s) {
-                        let latency = now.as_secs() - arrived_at;
-                        hist.record(latency);
-                        served += 1;
-                        per_variant[instances[i].variant.0 as usize] += 1;
-                    }
-                    if now >= warmup_end && now <= horizon {
-                        completed_in_span += 1;
-                    }
-                    if let Some(next_arrival) = fifo.pop_front() {
-                        Self::start_service(
-                            &mut instances[i],
-                            instance,
-                            now,
-                            next_arrival,
-                            jitter_sigma,
-                            &mut service_rng,
-                            q,
-                        );
-                    } else {
-                        idle.push(instance);
-                    }
-                }
-            }
-        }
-
-        // Snapshot the boundary (continuous path): clip in-flight energy at
-        // the horizon and convert the still-pending events into the next
-        // epoch's carry. Arrive events past the horizon are discarded — the
-        // next epoch anchors a fresh arrival process at its own start.
-        let snapshot_scope = profiler
-            .as_ref()
-            .filter(|_| continuous)
-            .map(|p| p.scope(Phase::Carry));
-        let mut conservation_leak = 0i64;
-        let carry_out = continuous.then(|| {
-            let mut out = ServingCarry {
-                deployment: Some(self.deployment.clone()),
-                ..ServingCarry::default()
-            };
-            while let Some((t, ev)) = q.pop() {
-                if let Ev::Done { instance, gen } = ev {
-                    let i = instance as usize;
-                    if instances[i].gen != gen {
-                        continue; // stale completion of a failed instance
-                    }
-                    instances[i].fold_interval(warmup_end_s, horizon_s);
-                    let arrived_at = instances[i]
-                        .in_flight
-                        .take()
-                        .expect("carried completion for idle instance");
-                    out.in_flight.push(CarriedRequest {
-                        instance,
-                        age_s: horizon_s - arrived_at,
-                        remaining_s: t.as_secs() - horizon_s,
-                    });
-                }
-            }
-            out.queue_ages_s.extend(fifo.iter().map(|&a| horizon_s - a));
-            // The conservation law is checked on every continuous epoch —
-            // release builds included. A nonzero leak is surfaced to the
-            // caller (journal `conservation` violation event) instead of
-            // aborting the run; debug builds still halt at the fault.
-            conservation_leak =
-                (carried_in + arrived) as i64 - (served + dropped + out.backlog()) as i64;
-            debug_assert_eq!(
-                conservation_leak, 0,
-                "continuous epoch leaked a request at the boundary"
-            );
+        let mut run = run_des(
+            &mut self.scratch,
+            DesRun {
+                warmup,
+                window,
+                continuous,
+                arrivals: Arrivals::Live(arrivals, arrival_rng),
+                service_rng,
+                max_queue: MAX_QUEUE,
+                failures: &failures,
+                in_flight,
+                queue_ages: &queue_ages,
+                shard: 0,
+                shards: 1,
+                restore_scope,
+                profiler,
+            },
+        );
+        let metrics = self.window_metrics(&run, warmup, window, &failures, arrivals.mean_rate());
+        let carry_out = run.carry.take().map(|mut out| {
+            out.deployment = Some(self.deployment.clone());
             out
         });
-        drop(snapshot_scope);
-
-        // Busy time and dynamic energy, clipped to the measured span.
-        // Service intervals were recorded by start_service via the ledger
-        // below; we recompute energy from busy_in_span_s accumulated there.
-        let mut idle_j = 0.0;
-        let mut busy_integral = 0.0;
-        for inst in instances.iter() {
-            dynamic_j += inst.busy_w * inst.busy_in_span_s;
-            // A dead slice stops drawing idle power at its failure instant.
-            let dead_s = inst
-                .down_at_s
-                .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
-            idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
-            busy_integral += inst.busy_in_span_s;
-        }
-        let mut static_j =
-            self.perf.power.gpu_static_w() * self.deployment.n_gpus() as f64 * span_s;
-        // Dead GPUs stop drawing static power at their failure instant.
-        for f in &failures {
-            let dead_s = (horizon_s - f.at_s.max(warmup_end_s)).max(0.0);
-            static_j -= self.perf.power.gpu_static_w() * f.gpus as f64 * dead_s.min(span_s);
-        }
-        static_j = static_j.max(0.0);
-
-        let metrics = WindowMetrics {
-            span_s,
-            offered_rps: arrivals.mean_rate(),
-            arrived,
-            served,
-            completed_in_span,
-            dropped,
-            mean_latency_s: hist.mean(),
-            p95_latency_s: hist.quantile(0.95),
-            max_latency_s: hist.max(),
-            sim_events,
-            per_variant_served: per_variant.clone(),
-            dynamic_energy_j: dynamic_j,
-            idle_energy_j: idle_j,
-            static_energy_j: static_j,
-            mean_busy_instances: busy_integral / span_s,
-            latency_hist: hist.clone(),
-            conservation_leak,
-            fault_kills,
-            fault_requeued,
-            shard_seams: Vec::new(),
-        };
         (metrics, carry_out)
     }
 
-    /// Dispatches one request to a uniformly chosen idle instance — the
-    /// single encoding of the paper's placement-free consumer rule (one
-    /// `below` draw on the service stream, then service start), shared by
-    /// the arrival path and the continuous restore's opening dispatch so
-    /// the convention cannot drift between them.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_to_idle(
-        instances: &mut [Instance],
-        idle: &mut Vec<u32>,
-        now: SimTime,
-        arrived_at_s: f64,
-        jitter_sigma: f64,
-        rng: &mut SimRng,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let i = idle.swap_remove(rng.below(idle.len()));
-        Self::start_service(
-            &mut instances[i as usize],
-            i,
-            now,
-            arrived_at_s,
-            jitter_sigma,
-            rng,
-            q,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_service(
-        inst: &mut Instance,
-        index: u32,
-        now: SimTime,
-        arrived_at_s: f64,
-        jitter_sigma: f64,
-        rng: &mut SimRng,
-        q: &mut EventQueue<Ev>,
-    ) {
-        debug_assert!(inst.in_flight.is_none());
-        debug_assert!(inst.up, "dispatch to a failed instance");
-        inst.in_flight = Some(arrived_at_s);
-        // Lognormal jitter with unit mean.
-        let jitter = (jitter_sigma * rng.normal() - 0.5 * jitter_sigma * jitter_sigma).exp();
-        let service = inst.mean_service_s * jitter;
-        q.schedule_in(
-            SimDuration::from_secs(service),
-            Ev::Done {
-                instance: index,
-                gen: inst.gen,
-            },
-        );
-        // Busy intervals can straddle the span edges; remember the exact
-        // interval and clip it to the measured span at completion.
-        inst.pending_interval = Some((now.as_secs(), now.as_secs() + service));
+    /// Assembles a window's metrics from one DES run (or the shard-order
+    /// sum of a sharded epoch's runs), whose histogram and per-variant
+    /// counts sit in the main scratch. Static energy is a property of the
+    /// physical fleet, not of any split: every GPU draws for the whole span
+    /// except those an injected failure powered off, which stop at the
+    /// failure instant.
+    fn window_metrics(
+        &self,
+        run: &DesOutcome,
+        warmup: SimDuration,
+        window: SimDuration,
+        failures: &[InstanceFailure],
+        offered_rps: f64,
+    ) -> WindowMetrics {
+        let span_s = window.as_secs();
+        let warmup_end_s = (SimTime::ZERO + warmup).as_secs();
+        let horizon_s = (SimTime::ZERO + warmup + window).as_secs();
+        let static_w = self.perf.power.gpu_static_w();
+        let mut static_j = static_w * self.deployment.n_gpus() as f64 * span_s;
+        for f in failures {
+            let dead_s = (horizon_s - f.at_s.max(warmup_end_s)).max(0.0);
+            static_j -= static_w * f.gpus as f64 * dead_s.min(span_s);
+        }
+        let hist = &self.scratch.hist;
+        WindowMetrics {
+            span_s,
+            offered_rps,
+            arrived: run.seam.arrived,
+            served: run.seam.served,
+            completed_in_span: run.completed_in_span,
+            dropped: run.seam.dropped,
+            mean_latency_s: hist.mean(),
+            p95_latency_s: hist.quantile(0.95),
+            max_latency_s: hist.max(),
+            sim_events: run.sim_events,
+            per_variant_served: self.scratch.per_variant.clone(),
+            dynamic_energy_j: run.dynamic_j,
+            idle_energy_j: run.idle_j,
+            static_energy_j: static_j.max(0.0),
+            mean_busy_instances: run.busy_integral / span_s,
+            latency_hist: hist.clone(),
+            conservation_leak: run.conservation_leak,
+            fault_kills: run.fault_kills,
+            fault_requeued: run.fault_requeued,
+            shard_seams: Vec::new(),
+        }
     }
 }
 
 impl Instance {
+    /// Starts serving a request that arrived at `arrived_at_s`: draws its
+    /// jittered service time and schedules the completion.
+    fn start(
+        &mut self,
+        index: u32,
+        now: SimTime,
+        arrived_at_s: f64,
+        rng: &mut SimRng,
+        q: &mut EventQueue<Ev>,
+    ) {
+        debug_assert!(self.in_flight.is_none());
+        debug_assert!(self.up, "dispatch to a failed instance");
+        self.in_flight = Some(arrived_at_s);
+        // Lognormal jitter with unit mean.
+        let sigma = SERVICE_JITTER_SIGMA;
+        let jitter = (sigma * rng.normal() - 0.5 * sigma * sigma).exp();
+        let service = self.mean_service_s * jitter;
+        q.schedule_in(
+            SimDuration::from_secs(service),
+            Ev::Done {
+                instance: index,
+                gen: self.gen,
+            },
+        );
+        // Busy intervals can straddle the span edges; remember the exact
+        // interval and clip it to the measured span at completion.
+        self.pending_interval = Some((now.as_secs(), now.as_secs() + service));
+    }
+
     /// Clips the in-flight service interval to `[warmup_end, span_end]` and
     /// accumulates the overlap into the measured busy time.
     fn fold_interval(&mut self, warmup_end: f64, span_end: f64) {
@@ -983,6 +751,359 @@ impl Instance {
             }
         }
     }
+}
+
+/// Dispatches one request to a uniformly chosen idle instance — the single
+/// encoding of the paper's placement-free consumer rule (one `below` draw
+/// on the service stream, then service start), shared by the arrival path
+/// and the restore's opening dispatch so the two cannot drift apart.
+fn dispatch_to_idle(
+    instances: &mut [Instance],
+    idle: &mut Vec<u32>,
+    now: SimTime,
+    arrived_at_s: f64,
+    rng: &mut SimRng,
+    q: &mut EventQueue<Ev>,
+) {
+    let i = idle.swap_remove(rng.below(idle.len()));
+    instances[i as usize].start(i, now, arrived_at_s, rng, q);
+}
+
+/// Where a DES run's arrivals come from.
+enum Arrivals<'a> {
+    /// A live process drawing on its own RNG substream.
+    Live(&'a mut dyn ArrivalProcess, SimRng),
+    /// A pre-drawn sequence (one shard's share of an epoch), ascending.
+    Split(std::slice::Iter<'a, SimTime>),
+}
+
+impl Arrivals<'_> {
+    fn next_after(&mut self, now: SimTime) -> Option<SimTime> {
+        match self {
+            Arrivals::Live(process, rng) => process.next_after(now, rng),
+            Arrivals::Split(times) => times.next().copied(),
+        }
+    }
+}
+
+/// One DES run's view of the cell: everything the shared body needs
+/// besides the instance table already built in its scratch. The classic
+/// window, the unsharded continuous epoch and every shard of a sharded
+/// epoch are all a `DesRun`.
+struct DesRun<'a> {
+    /// Classic windows measure only arrivals after the warmup.
+    warmup: SimDuration,
+    window: SimDuration,
+    /// Continuous runs stop at the horizon and snapshot what remains;
+    /// classic windows drain measured completions past it.
+    continuous: bool,
+    arrivals: Arrivals<'a>,
+    service_rng: SimRng,
+    /// New arrivals beyond this many waiting requests are dropped.
+    max_queue: usize,
+    /// Injected failures, in the run's local instance indices (`gpus` is
+    /// accounted by the caller, not the body).
+    failures: &'a [InstanceFailure],
+    /// In-flight work restored onto the run's local instances.
+    in_flight: &'a [CarriedRequest],
+    /// Carried waiting requests' ages, oldest first.
+    queue_ages: &'a [f64],
+    /// The run's stripe of the deployment: local instance `i` is global
+    /// instance `i * shards + shard` (shard 0 of 1 for an unsharded run).
+    shard: u32,
+    shards: u32,
+    /// Open carry-phase scope, closed once the restore has been dispatched.
+    restore_scope: Option<PhaseScope>,
+    /// Times the boundary snapshot as carry work (unsharded continuous
+    /// runs only).
+    profiler: Option<&'a ProfilerHandle>,
+}
+
+/// What one DES run measured. A sharded epoch sums its shards' outcomes in
+/// shard order.
+struct DesOutcome {
+    /// The run's boundary accounting (arrivals after the warmup, on
+    /// classic windows).
+    seam: ShardSeam,
+    /// Residual of the conservation law at the horizon (continuous runs;
+    /// 0 for classic windows, which drain instead).
+    conservation_leak: i64,
+    completed_in_span: u64,
+    sim_events: u64,
+    fault_kills: u64,
+    fault_requeued: u64,
+    dynamic_j: f64,
+    idle_j: f64,
+    busy_integral: f64,
+    /// What remains at the horizon, in global instance indices, with no
+    /// deployment bound yet. `None` for classic windows.
+    carry: Option<ServingCarry>,
+}
+
+impl DesOutcome {
+    /// Adds another shard's outcome, except its carry, into this one.
+    fn absorb(mut self, other: DesOutcome) -> DesOutcome {
+        self.seam.carried_in += other.seam.carried_in;
+        self.seam.arrived += other.seam.arrived;
+        self.seam.served += other.seam.served;
+        self.seam.dropped += other.seam.dropped;
+        self.seam.carried_out += other.seam.carried_out;
+        self.conservation_leak += other.conservation_leak;
+        self.completed_in_span += other.completed_in_span;
+        self.sim_events += other.sim_events;
+        self.fault_kills += other.fault_kills;
+        self.fault_requeued += other.fault_requeued;
+        self.dynamic_j += other.dynamic_j;
+        self.idle_j += other.idle_j;
+        self.busy_integral += other.busy_integral;
+        self
+    }
+}
+
+/// The DES body — the one event loop of the serving simulator. Restores
+/// the carried work, dispatches waiting requests to idle instances at the
+/// opening instant, schedules injected failures and the first arrival,
+/// then runs Arrive/Fault/Done events to the horizon (continuous) or to
+/// exhaustion (classic), snapshots the boundary and folds busy time into
+/// energy. Pure over `scratch` and `run`, so shards can run on any thread.
+fn run_des(scratch: &mut SimScratch, mut run: DesRun<'_>) -> DesOutcome {
+    let continuous = run.continuous;
+    let warmup_end = SimTime::ZERO + run.warmup;
+    let horizon = warmup_end + run.window;
+    let span_s = run.window.as_secs();
+    let warmup_end_s = warmup_end.as_secs();
+    let horizon_s = horizon.as_secs();
+    let service_rng = &mut run.service_rng;
+    let SimScratch {
+        queue: q,
+        fifo,
+        instances,
+        per_variant,
+        hist,
+        idle,
+    } = scratch;
+
+    // Restore the boundary snapshot: in-flight requests back onto their
+    // instances with their remaining service scheduled, waiting requests
+    // back into the queue with their pre-window arrival times (negative on
+    // this window's clock).
+    let carried_in = (run.in_flight.len() + run.queue_ages.len()) as u64;
+    for r in run.in_flight {
+        let inst = &mut instances[r.instance as usize];
+        inst.in_flight = Some(-r.age_s);
+        // The pre-boundary part of the interval was charged to the
+        // previous epoch; only the remainder burns here.
+        inst.pending_interval = Some((0.0, r.remaining_s));
+        q.schedule(
+            SimTime::from_secs(r.remaining_s),
+            Ev::Done {
+                instance: r.instance,
+                gen: 0,
+            },
+        );
+    }
+    fifo.extend(run.queue_ages.iter().map(|&age| -age));
+
+    // Idle instances. The consumer has no placement preference (paper
+    // Sec. 4.3: instances notify the consumer when free; an arriving
+    // request finding several idle instances is dispatched uniformly at
+    // random). Under load, dispatch is completion-driven regardless.
+    idle.extend((0..instances.len() as u32).filter(|&i| instances[i as usize].in_flight.is_none()));
+
+    // A reconfiguration restore can leave waiting work next to idle
+    // instances (the queue-implies-busy invariant holds only within a
+    // window): dispatch the queue heads at the epoch's opening instant so
+    // later arrivals cannot jump carried requests.
+    while !idle.is_empty() && !fifo.is_empty() {
+        let arrived_at = fifo.pop_front().expect("non-empty queue");
+        dispatch_to_idle(instances, idle, SimTime::ZERO, arrived_at, service_rng, q);
+    }
+    drop(run.restore_scope.take());
+
+    let mut arrived = 0u64;
+    let mut served = 0u64;
+    let mut dropped = 0u64;
+    let mut completed_in_span = 0u64;
+    let mut sim_events = 0u64;
+    let mut fault_kills = 0u64;
+    let mut fault_requeued = 0u64;
+
+    // Injected failures land as ordinary DES events. Chaos-off runs
+    // schedule nothing here.
+    for (k, f) in run.failures.iter().enumerate() {
+        let at = SimTime::from_secs(f.at_s.max(0.0));
+        if at <= horizon {
+            q.schedule(at, Ev::Fault { failure: k as u32 });
+        }
+    }
+
+    if let Some(first) = run.arrivals.next_after(SimTime::ZERO) {
+        q.schedule_source(first, Ev::Arrive);
+    }
+
+    while let Some(next_t) = q.peek_time() {
+        // The continuous path stops *at* the horizon — whatever is still
+        // pending becomes the next epoch's carry instead of being drained
+        // to completion.
+        if continuous && next_t > horizon {
+            break;
+        }
+        let (now, ev) = q.pop().expect("peeked event");
+        sim_events += 1;
+        match ev {
+            Ev::Arrive => {
+                if now > horizon {
+                    continue; // past the horizon: stop generating
+                }
+                if let Some(next) = run.arrivals.next_after(now) {
+                    q.schedule_source(next, Ev::Arrive);
+                }
+                if now >= warmup_end {
+                    arrived += 1;
+                }
+                if !idle.is_empty() {
+                    dispatch_to_idle(instances, idle, now, now.as_secs(), service_rng, q);
+                } else if fifo.len() < run.max_queue {
+                    fifo.push_back(now.as_secs());
+                } else if now >= warmup_end {
+                    dropped += 1;
+                }
+            }
+            Ev::Fault { failure } => {
+                let f = &run.failures[failure as usize];
+                // Collect the dying instances' in-flight arrivals so they
+                // can rejoin the queue oldest-first.
+                let mut requeue: Vec<f64> = Vec::new();
+                for &inst_idx in &f.instances {
+                    let i = inst_idx as usize;
+                    if i >= instances.len() || !instances[i].up {
+                        continue;
+                    }
+                    let inst = &mut instances[i];
+                    inst.up = false;
+                    inst.gen = inst.gen.wrapping_add(1);
+                    inst.down_at_s = Some(now.as_secs());
+                    fault_kills += 1;
+                    // The aborted request burned power up to the failure
+                    // instant; its scheduled completion is now stale (old
+                    // generation) and will be discarded.
+                    if let Some((a, _)) = inst.pending_interval.take() {
+                        inst.pending_interval = Some((a, now.as_secs()));
+                    }
+                    inst.fold_interval(warmup_end_s, horizon_s);
+                    if let Some(arr) = inst.in_flight.take() {
+                        requeue.push(arr);
+                        fault_requeued += 1;
+                    }
+                    idle.retain(|&j| j != inst_idx);
+                }
+                // Oldest first, ahead of everything already waiting.
+                requeue.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
+                for &arr in requeue.iter().rev() {
+                    fifo.push_front(arr);
+                }
+            }
+            Ev::Done { instance, gen } => {
+                let i = instance as usize;
+                if instances[i].gen != gen {
+                    continue; // stale completion of a failed instance
+                }
+                instances[i].fold_interval(warmup_end_s, horizon_s);
+                let arrived_at = instances[i]
+                    .in_flight
+                    .take()
+                    .expect("completion for idle instance");
+                // Classic path: measure requests that arrived within the
+                // span. Continuous path: measure every completion in the
+                // epoch — carried requests included, with their full
+                // seam-spanning latency.
+                if continuous || (arrived_at >= warmup_end_s && arrived_at <= horizon_s) {
+                    hist.record(now.as_secs() - arrived_at);
+                    served += 1;
+                    per_variant[instances[i].variant.0 as usize] += 1;
+                }
+                if now >= warmup_end && now <= horizon {
+                    completed_in_span += 1;
+                }
+                if let Some(next_arrival) = fifo.pop_front() {
+                    instances[i].start(instance, now, next_arrival, service_rng, q);
+                } else {
+                    idle.push(instance);
+                }
+            }
+        }
+    }
+
+    // Snapshot the boundary (continuous path): clip in-flight energy at
+    // the horizon and convert the still-pending completions into carried
+    // work under their global instance index. Arrive events past the
+    // horizon are discarded — the next epoch anchors a fresh arrival
+    // process at its own start.
+    let carry = continuous.then(|| {
+        let _snapshot_scope = run.profiler.map(|p| p.scope(Phase::Carry));
+        let mut carry = ServingCarry::default();
+        while let Some((t, ev)) = q.pop() {
+            if let Ev::Done { instance, gen } = ev {
+                let i = instance as usize;
+                if instances[i].gen != gen {
+                    continue; // stale completion of a failed instance
+                }
+                instances[i].fold_interval(warmup_end_s, horizon_s);
+                let arrived_at = instances[i]
+                    .in_flight
+                    .take()
+                    .expect("carried completion for idle instance");
+                carry.in_flight.push(CarriedRequest {
+                    instance: instance * run.shards + run.shard,
+                    age_s: horizon_s - arrived_at,
+                    remaining_s: t.as_secs() - horizon_s,
+                });
+            }
+        }
+        carry
+            .queue_ages_s
+            .extend(fifo.iter().map(|&a| horizon_s - a));
+        carry
+    });
+    let seam = ShardSeam {
+        shard: run.shard,
+        carried_in,
+        arrived,
+        served,
+        dropped,
+        carried_out: carry.as_ref().map_or(0, ServingCarry::backlog),
+    };
+    // The conservation law is checked on every continuous run — release
+    // builds included: a nonzero leak is surfaced to the caller
+    // (`WindowMetrics::conservation_leak`, a journal `conservation`
+    // violation event) instead of aborting the run; debug builds still halt
+    // at the fault.
+    let conservation_leak = if continuous { seam.leak() } else { 0 };
+    debug_assert_eq!(conservation_leak, 0, "a request leaked at the boundary");
+
+    let mut out = DesOutcome {
+        seam,
+        conservation_leak,
+        completed_in_span,
+        sim_events,
+        fault_kills,
+        fault_requeued,
+        dynamic_j: 0.0,
+        idle_j: 0.0,
+        busy_integral: 0.0,
+        carry,
+    };
+    // Busy time and energy, clipped to the measured span.
+    for inst in instances.iter() {
+        out.dynamic_j += inst.busy_w * inst.busy_in_span_s;
+        // A dead slice stops drawing idle power at its failure instant.
+        let dead_s = inst
+            .down_at_s
+            .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
+        out.idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
+        out.busy_integral += inst.busy_in_span_s;
+    }
+    out
 }
 
 #[cfg(test)]
