@@ -283,6 +283,7 @@ struct GridResult {
     serial: Spread,
     parallel: Spread,
     speedup: f64,
+    /// Events the DES processed, each shared BASE reference counted once.
     sim_events: u64,
     serial_events_per_sec: f64,
     /// Per-phase wall time summed over the cells of a profiled parallel
@@ -353,7 +354,7 @@ fn run_grid(grid: Grid, threads: usize, runs: usize) -> GridResult {
 
     let serial = Spread::of(serial_walls);
     let parallel = Spread::of(parallel_walls);
-    let sim_events: u64 = reference.iter().map(|o| o.sim_events).sum();
+    let sim_events = simulated_events(&grid.configs, &reference);
     GridResult {
         name: grid.name,
         cells,
@@ -368,6 +369,20 @@ fn run_grid(grid: Grid, threads: usize, runs: usize) -> GridResult {
         phase_bound_ok,
         deterministic,
     }
+}
+
+/// Events the grid's DES actually processed. Cells that share a BASE
+/// reference simulate it once, yet each outcome's `sim_events` counts it,
+/// so each distinct reference is counted once here.
+fn simulated_events(configs: &[ExperimentConfig], outcomes: &[ExperimentOutcome]) -> u64 {
+    let mut events = 0;
+    for (i, (cfg, o)) in configs.iter().zip(outcomes).enumerate() {
+        events += o.sim_events - o.base_sim_events;
+        if !configs[..i].iter().any(|c| c.shares_reference_with(cfg)) {
+            events += o.base_sim_events;
+        }
+    }
+    events
 }
 
 impl GridResult {

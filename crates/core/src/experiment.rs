@@ -27,6 +27,10 @@
 //!
 //! A synchronized BASE run over the same trace and seeds provides the
 //! reference for carbon savings, accuracy loss, and normalized SLA latency.
+//! It depends on none of the scheme, chaos, scaling or SLA settings, so
+//! every live experiment with equal reference inputs shares one run of it,
+//! advanced by whichever of them gets there first and dropped with the last
+//! of them (see `reference.rs`).
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::{Scaler, ScalerConfig, ScalingPolicy};
@@ -47,8 +51,11 @@ use clover_serving::{analytic, Deployment, InstanceFailure, ServingSim, WindowMe
 use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Phase, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
+use reference::{Reference, ReferenceSpec};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+
+mod reference;
 
 /// How the SLA is derived from the calibration window's measured BASE p95.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,6 +103,19 @@ pub enum TraceSource {
     Region(Region),
     /// A constant intensity (used by Fig. 2/3/14a-style experiments).
     Constant(f64),
+}
+
+impl TraceSource {
+    /// The carbon trace a run over `horizon_hours` with `seed` reads.
+    fn carbon_trace(self, seed: u64, horizon_hours: f64) -> CarbonTrace {
+        match self {
+            TraceSource::Region(r) => r.eval_trace(seed),
+            TraceSource::Constant(v) => CarbonTrace::constant(
+                CarbonIntensity::from_g_per_kwh(v),
+                SimDuration::from_hours(horizon_hours + 1.0),
+            ),
+        }
+    }
 }
 
 /// Full specification of one experiment.
@@ -208,6 +228,16 @@ impl ExperimentConfig {
             Fidelity::RepresentativeWindow { window_s } => window_s,
         };
         epochs * per_epoch_s * self.n_gpus as f64
+    }
+
+    /// Whether the two configs measure against the same synchronized BASE
+    /// reference run: their app, trace, seed, reference GPUs, utilization,
+    /// workload, horizon, cadence, fidelity and DES shards are equal. Live
+    /// experiments whose configs agree here simulate that run once between
+    /// them, and each outcome counts its
+    /// [`ExperimentOutcome::base_sim_events`].
+    pub fn shares_reference_with(&self, other: &ExperimentConfig) -> bool {
+        ReferenceSpec::of(self) == ReferenceSpec::of(other)
     }
 }
 
@@ -585,8 +615,15 @@ pub struct ExperimentOutcome {
     pub served_scaled: f64,
     /// Discrete events the DES engine processed across every simulated
     /// window of the run (serving hours, evaluation windows, and the BASE
-    /// reference) — the workload denominator for events/sec reporting.
+    /// reference). The BASE reference is simulated once for all live
+    /// experiments that share it (see
+    /// [`ExperimentConfig::shares_reference_with`]), yet its events count in
+    /// every one of their outcomes; subtract [`Self::base_sim_events`] for
+    /// the events this cell simulated alone.
     pub sim_events: u64,
+    /// The BASE reference's share of [`Self::sim_events`]. Not part of the
+    /// [`Self::digest`].
+    pub base_sim_events: u64,
     /// Per-epoch timeline (hourly under the default cadence).
     pub timeline: Vec<HourPoint>,
     /// Optimization invocations.
@@ -712,6 +749,9 @@ pub struct Experiment {
     /// set this to their per-cell budget so cell-level and intra-epoch
     /// parallelism share one thread pool size instead of multiplying.
     shard_threads: Option<usize>,
+    /// The synchronized BASE reference, shared with every live experiment
+    /// whose reference inputs are equal.
+    reference: Arc<Reference>,
 }
 
 impl Experiment {
@@ -719,13 +759,7 @@ impl Experiment {
     pub fn new(cfg: ExperimentConfig) -> Self {
         let family = Arc::new(cfg.app.family());
         let perf = PerfModel::a100();
-        let trace = Arc::new(match cfg.trace {
-            TraceSource::Region(r) => r.eval_trace(cfg.seed),
-            TraceSource::Constant(v) => CarbonTrace::constant(
-                CarbonIntensity::from_g_per_kwh(v),
-                SimDuration::from_hours(cfg.horizon_hours + 1.0),
-            ),
-        });
+        let trace = Arc::new(cfg.trace.carbon_trace(cfg.seed, cfg.horizon_hours));
 
         // Workload: BASE on the reference GPUs at the utilization target.
         let base_ref = Deployment::base(&family, cfg.reference_gpus);
@@ -771,6 +805,7 @@ impl Experiment {
         }
 
         Experiment {
+            reference: Reference::shared(ReferenceSpec::of(&cfg)),
             cfg,
             family,
             perf,
@@ -813,18 +848,28 @@ impl Experiment {
     /// — the serial reference run (`threads = 1`) therefore runs its
     /// shards serially too, keeping the serial-vs-parallel comparison an
     /// honest same-work measurement.
+    ///
+    /// Every cell is built before any of them runs, so cells whose configs
+    /// [share a BASE reference](ExperimentConfig::shares_reference_with)
+    /// are alive together and simulate it once.
     pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
+        Self::build_and_run(configs, threads, Experiment::run)
+    }
+
+    /// Builds every cell on `threads` workers, then runs `run` on each,
+    /// heaviest first.
+    fn build_and_run<R, F>(configs: Vec<ExperimentConfig>, threads: usize, run: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&Experiment) -> R + Sync,
+    {
         let shard_threads = Self::shard_thread_budget(threads, configs.len());
-        clover_simkit::par_map_lpt(
-            configs,
-            threads,
-            ExperimentConfig::cost_weight,
-            move |cfg| {
-                let mut e = Experiment::new(cfg);
-                e.set_shard_threads(Some(shard_threads));
-                e.run()
-            },
-        )
+        let cells = clover_simkit::par_map(configs, threads, |cfg| {
+            let mut e = Experiment::new(cfg);
+            e.set_shard_threads(Some(shard_threads));
+            e
+        });
+        clover_simkit::par_map_lpt(cells, threads, |e| e.cfg.cost_weight(), |e| run(&e))
     }
 
     /// Per-cell worker budget for intra-epoch sharding: the grid's thread
@@ -849,19 +894,11 @@ impl Experiment {
         threads: usize,
         spec: TelemetrySpec,
     ) -> Vec<(ExperimentOutcome, TelemetryReport)> {
-        let shard_threads = Self::shard_thread_budget(threads, configs.len());
-        clover_simkit::par_map_lpt(
-            configs,
-            threads,
-            ExperimentConfig::cost_weight,
-            move |cfg| {
-                let mut telemetry = Telemetry::new(spec);
-                let mut e = Experiment::new(cfg);
-                e.set_shard_threads(Some(shard_threads));
-                let out = e.run_with(&mut telemetry);
-                (out, telemetry.take_report())
-            },
-        )
+        Self::build_and_run(configs, threads, |e| {
+            let mut telemetry = Telemetry::new(spec);
+            let out = e.run_with(&mut telemetry);
+            (out, telemetry.take_report())
+        })
     }
 
     /// Multi-seed entry point: runs `cfg` once per seed (overriding
@@ -896,6 +933,16 @@ impl Experiment {
     /// epochs, representative window) the numbers are bit-identical to the
     /// pre-extraction hourly loop (pinned by `tests/control_plane.rs`).
     ///
+    /// The BASE reference is shared with every live experiment whose
+    /// config [shares it](ExperimentConfig::shares_reference_with). After
+    /// each of its epochs this run advances the reference through that
+    /// epoch unless another run is advancing it; after its last epoch it
+    /// waits for any remaining reference epochs and reads the totals. The
+    /// reference lives while any experiment holding it does, so running an
+    /// experiment again after its siblings are dropped simulates the
+    /// reference again. Which run simulates which reference epoch never
+    /// changes a result.
+    ///
     /// Equivalent to [`Experiment::run_with`] against the no-op telemetry
     /// sink.
     pub fn run(&self) -> ExperimentOutcome {
@@ -910,11 +957,14 @@ impl Experiment {
     /// the per-boundary conservation law, matching the [`HourPoint`] the
     /// timeline records — and maintains per-scheme request counters in the
     /// metric registry. When profiling is enabled the epoch's serving
-    /// measurements (scheme and synchronized BASE reference) are timed as
-    /// [`Phase::Des`]; note that [`Phase::Carry`] (boundary hand-off inside
-    /// continuous serving) is nested within it, as [`Phase::Search`] is
-    /// within [`Phase::Plan`]. Telemetry is a strict overlay: with the
-    /// no-op sink this method *is* [`Experiment::run`], bit for bit.
+    /// measurement and the BASE reference epochs this run simulates are
+    /// timed as [`Phase::Des`]; reference epochs simulated by a sibling
+    /// experiment land in the sibling's profile, and time spent waiting
+    /// for one lands in no phase. [`Phase::Carry`] (boundary hand-off
+    /// inside continuous serving) is nested within [`Phase::Des`], as
+    /// [`Phase::Search`] is within [`Phase::Plan`]. Telemetry is a strict
+    /// overlay: with the no-op sink this method *is* [`Experiment::run`],
+    /// bit for bit.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
@@ -960,7 +1010,6 @@ impl Experiment {
         let rng = SimRng::new(cfg.seed ^ 0x5C8E);
         let pue = Pue::PAPER_DEFAULT;
         let mut ledger = CarbonLedger::new(self.trace.clone(), pue);
-        let mut base_ledger = CarbonLedger::new(self.trace.clone(), pue);
 
         let mut sim = ServingSim::new(
             self.family.clone(),
@@ -968,21 +1017,14 @@ impl Experiment {
             initial.clone(),
             cfg.seed ^ 0x11,
         );
-        let base_ref = Deployment::base(&self.family, cfg.reference_gpus);
-        let mut base_sim =
-            ServingSim::new(self.family.clone(), self.perf, base_ref, cfg.seed ^ 0x22);
         // Intra-epoch sharding (continuous epochs only; the default of 1
-        // keeps both simulators on the classic engine, digests unchanged).
+        // keeps the simulator on the classic engine, digests unchanged).
         sim.set_intra_epoch_shards(cfg.des_shards);
-        base_sim.set_intra_epoch_shards(cfg.des_shards);
         sim.set_shard_threads(self.shard_threads);
-        base_sim.set_shard_threads(self.shard_threads);
 
         let mut hist = LatencyHistogram::for_latency();
-        let mut base_hist = LatencyHistogram::for_latency();
         let mut per_variant = vec![0.0f64; self.family.len()];
         let mut served_scaled = 0.0f64;
-        let mut base_served_scaled = 0.0f64;
         let mut sim_events = 0u64;
         let mut optimization_time_s = 0.0f64;
         let mut timeline = Vec::with_capacity(epochs as usize);
@@ -1006,7 +1048,6 @@ impl Experiment {
         // boundary hand-offs in Carry. No-ops when profiling is off.
         plane.set_profiler(telemetry.profiler());
         sim.set_profiler(telemetry.profiler());
-        base_sim.set_profiler(telemetry.profiler());
         let env = PlaneEnv {
             family: &self.family,
             perf: &self.perf,
@@ -1020,7 +1061,6 @@ impl Experiment {
         // its own), so a 2-minute cadence simulates one unbroken day
         // instead of 720 cold starts.
         let continuous = matches!(cfg.fidelity, Fidelity::FullEpoch);
-        let mut base_carry = clover_serving::ServingCarry::default();
         // The deployment currently serving — tracked so the chaos layer
         // can map a failed physical GPU onto its instance range.
         let mut current_deployment = initial;
@@ -1330,28 +1370,16 @@ impl Experiment {
                 }
             }
 
-            // Synchronized BASE reference epoch, under the same workload
-            // (carried across boundaries too when the run is continuous —
-            // the baseline must not keep a cold-start advantage).
-            let mut base_arrivals = self.workload.process_from(t);
-            let des_scope = telemetry.scope(Phase::Des);
-            let bw = if continuous {
-                let (bw, next) =
-                    base_sim.run_epoch_continuous(base_arrivals.as_mut(), epoch_len, base_carry);
-                base_carry = next;
-                bw
-            } else {
-                base_sim.run_window_with(base_arrivals.as_mut(), wp.window, wp.warmup)
-            };
-            drop(des_scope);
-            sim_events += bw.sim_events;
-            base_ledger.record_energy_at(t, Energy::from_joules(bw.it_energy_j() * wp.scale));
-            base_hist.merge(&bw.latency_hist);
-            base_served_scaled += bw.served as f64 * wp.scale;
+            // Keep the shared BASE reference up with this epoch, unless
+            // another cell is advancing it right now.
+            self.reference
+                .advance(epoch.index, telemetry, self.shard_threads);
         }
+        let base = self.reference.finish(telemetry, self.shard_threads);
+        sim_events += base.sim_events;
 
         let total_carbon_g = ledger.carbon().grams();
-        let base_carbon_g = base_ledger.carbon().grams();
+        let base_carbon_g = base.carbon_g;
         let accuracy_pct = {
             let total: f64 = per_variant.iter().sum();
             if total == 0.0 {
@@ -1370,7 +1398,7 @@ impl Experiment {
         // per-request metrics below), never 0.0 — `sla_met` compares
         // false against NaN, so a fully wedged run cannot pass its SLA.
         let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
-        let base_p95_s = base_hist.quantile(0.95).unwrap_or(f64::NAN);
+        let base_p95_s = base.p95_s;
         let horizon_s = cfg.horizon_hours * 3600.0;
         let energy_per_request_j = if served_scaled > 0.0 {
             ledger.it_energy().joules() / served_scaled
@@ -1382,8 +1410,8 @@ impl Experiment {
         } else {
             f64::NAN
         };
-        let base_carbon_per_req_g = if base_served_scaled > 0.0 {
-            base_carbon_g / base_served_scaled
+        let base_carbon_per_req_g = if base.served_scaled > 0.0 {
+            base_carbon_g / base.served_scaled
         } else {
             f64::NAN
         };
@@ -1421,6 +1449,7 @@ impl Experiment {
             optimization_fraction: optimization_time_s / horizon_s,
             served_scaled,
             sim_events,
+            base_sim_events: base.sim_events,
             timeline,
             invocations,
         }
