@@ -18,6 +18,11 @@
 //! 5. **The policy surface is open.** A custom policy registered at
 //!    runtime drives a full router run; re-registering a builtin name is
 //!    rejected.
+//! 6. **Router numbers are pinned.** `GlobalOutcome::digest` of eight
+//!    cells (every built-in policy over BASE fleets, carbon-greedy over
+//!    CLOVER fleets, and carbon-greedy over BASE fleets through a regional
+//!    outage) must match values recorded before the per-cell runtime was
+//!    shared between the router and the single-cluster experiment.
 
 use clover::carbon::regions::Region;
 use clover::core::autoscale::ScalingPolicy;
@@ -148,6 +153,93 @@ fn a_region_outage_fails_over_without_losing_work() {
     assert_eq!(out.boundary_leak, 0, "boundary law must survive the outage");
 }
 
+/// One pinned router cell: the repo benchmark's `georouting` settings
+/// (three regions of four GPUs, reactive fleets, 10-minute epochs) on a
+/// 2-hour horizon.
+fn pinned(policy: &str, scheme: SchemeKind, chaos: ChaosConfig) -> RouterConfig {
+    RouterConfig::builder(Application::LanguageModeling)
+        .policy(policy)
+        .scheme(scheme)
+        .chaos(chaos)
+        .scaling(ScalingPolicy::reactive())
+        .control_epoch_s(600.0)
+        .n_gpus_per_region(4)
+        .min_gpus(1)
+        .horizon_hours(2.0)
+        .utilization(0.6)
+        .sla_headroom(2.0)
+        .seed(7)
+        .build()
+}
+
+/// `GlobalOutcome::digest` of each [`pinned`] cell, recorded on the tree
+/// before `RegionalFleet` was rebuilt on `clover_core::cell`. The last
+/// cell takes region 0 dark from 0.5 h to 1.5 h.
+const ROUTER_PINS: [(&str, &str, bool, u64); 8] = [
+    ("uniform", "BASE", false, 0xE0B8_E8F4_25AE_3E5B),
+    ("random", "BASE", false, 0x1EA1_8B6A_013C_6501),
+    ("round-robin", "BASE", false, 0x9569_1931_99DD_58F6),
+    ("smallest-queue", "BASE", false, 0xE8F4_6F80_7041_4887),
+    ("carbon-greedy", "BASE", false, 0x3908_0178_5468_8A3F),
+    ("forecast-aware", "BASE", false, 0xAFC3_94DF_A406_F297),
+    ("carbon-greedy", "CLOVER", false, 0x2646_82F2_9CEE_A2C9),
+    ("carbon-greedy", "BASE", true, 0x636F_E323_6063_4912),
+];
+
+#[test]
+fn router_cells_reproduce_their_pinned_digests() {
+    let configs = ROUTER_PINS
+        .iter()
+        .map(|&(policy, scheme, outage, _)| {
+            let chaos = if outage {
+                ChaosConfig::off().with(FaultSpec::RegionOutage {
+                    region: 0,
+                    start_h: 0.5,
+                    duration_h: 1.0,
+                })
+            } else {
+                ChaosConfig::off()
+            };
+            pinned(policy, SchemeKind::parse(scheme), chaos)
+        })
+        .collect();
+    let outcomes = GlobalRouter::run_cells(configs, 2);
+    let mismatches: Vec<String> = ROUTER_PINS
+        .iter()
+        .zip(outcomes.iter())
+        .filter(|((.., expected), out)| out.digest() != *expected)
+        .map(|((policy, scheme, outage, expected), out)| {
+            format!(
+                "{policy}/{scheme}{}: got 0x{:016X}, pinned 0x{expected:016X}",
+                if *outage { "/outage" } else { "" },
+                out.digest()
+            )
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "router digests drifted:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// A one-region router cell is *not* digest-equal to the matching
+/// `FullEpoch` `Experiment`, and this test does not claim it. Both run the
+/// same per-cell runtime (`clover_core::cell::CellRuntime`), but their
+/// inputs differ by design:
+///
+/// - the fleet's master seed is a substream of `seed ^ FLEET_SALT`, so
+///   adding a region never re-deals another region's draws, while the
+///   experiment salts its components from `seed` itself;
+/// - the fleet's carbon trace (and with it `C_base`) comes from
+///   `Region::trace` over at least 48 hours, not from `Region::eval_trace`;
+/// - the fleet's evaluator is built at the planning floor
+///   (`PLANNING_FLOOR_W` × the global rate) and its planning workload is
+///   rebuilt every epoch from the routed weight. At weight 1 the first
+///   plan overwrites that rate, so this one alone would not change a bit.
+///
+/// Reconciling the first two would re-deal every pinned router or
+/// experiment digest, so the degeneracy is checked on the routing shape.
 #[test]
 fn a_single_region_fleet_degenerates_to_weight_one() {
     let mut cfg = RouterConfig::builder(Application::LanguageModeling)
