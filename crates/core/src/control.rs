@@ -22,11 +22,13 @@
 //!   MMPP/flash bursts are actually sampled instead of averaged away).
 //! - A [`ControlPlane`] owns the per-experiment decision state — carbon
 //!   monitor, autoscaler, scheduler, live evaluator, scheduler RNG — and
-//!   exposes the two halves of the loop: [`ControlPlane::begin_epoch`]
+//!   exposes the two halves of the loop: [`ControlPlane::begin_epoch_with`]
 //!   (observe the grid, size the fleet, re-plan when a trigger fires) and
 //!   [`ControlPlane::observe_serving`] (feed the served window back:
 //!   SLA-violation re-invocation state plus the scheduler's
-//!   [`crate::schedulers::Scheduler::observe`] hook).
+//!   [`crate::schedulers::Scheduler::observe`] hook). Serving the epoch in
+//!   between, and the queue it carries across boundaries, belong to the
+//!   per-cell runtime ([`crate::cell`]), which drives the plane.
 //!
 //! The default configuration — hourly epochs, representative window —
 //! reproduces the pre-extraction experiment results bit for bit (pinned by
@@ -39,10 +41,10 @@ use crate::objective::Objective;
 use crate::schedulers::{Observation, Scheduler, SchedulerCtx};
 use clover_carbon::{CarbonIntensity, CarbonMonitor, Staleness};
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{Deployment, ServingCarry, ServingSim, WindowMetrics};
+use clover_serving::{Deployment, WindowMetrics};
 use clover_simkit::{SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
-use clover_workload::{ArrivalProcess, NoisyForecast, Workload};
+use clover_workload::{NoisyForecast, Workload};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -317,9 +319,10 @@ impl EpochSchedule {
     }
 }
 
-/// Epochs per hour when `epoch_s` is valid; panics with the builder's
-/// contract otherwise.
-pub(crate) fn per_hour_or_panic(epoch_s: f64) -> f64 {
+/// Epochs per hour when `epoch_s` is a valid control cadence (positive and
+/// evenly dividing one hour); panics otherwise. Every run builder
+/// (single-cluster and multi-region) checks its cadence here.
+pub fn per_hour_or_panic(epoch_s: f64) -> f64 {
     assert!(
         epoch_s.is_finite() && epoch_s > 0.0,
         "control_epoch_s must be positive, got {epoch_s}"
@@ -347,7 +350,7 @@ pub struct PlaneEnv<'a> {
     pub workload: &'a Workload,
 }
 
-/// What [`ControlPlane::begin_epoch`] decided for one epoch.
+/// What [`ControlPlane::begin_epoch_with`] decided for one epoch.
 pub struct EpochPlan {
     /// Carbon intensity in force this epoch (held per trace hour).
     pub ci: CarbonIntensity,
@@ -367,11 +370,12 @@ pub struct EpochPlan {
 /// The per-experiment decision loop: carbon monitor, autoscaler, scheduler
 /// and live evaluator behind one stepped interface.
 ///
-/// Drive it as `begin_epoch` → serve the epoch (at the configured
-/// [`Fidelity`]) → `observe_serving`, once per [`ControlEpoch`], in order.
-/// All state is owned and all randomness flows from the seeds it was
-/// constructed with, so experiments stay byte-identical between serial and
-/// parallel grid execution.
+/// Drive it as `begin_epoch_with` → serve the epoch (at the configured
+/// [`Fidelity`]) → `observe_serving`, once per [`ControlEpoch`], in order
+/// ([`crate::cell::CellRuntime`] does). The plane holds decision state
+/// only; it never sees the serving queue. All state is owned and all
+/// randomness flows from the seeds it was constructed with, so experiments
+/// stay byte-identical between serial and parallel grid execution.
 pub struct ControlPlane {
     scheduler: Box<dyn Scheduler>,
     monitor: CarbonMonitor,
@@ -384,11 +388,6 @@ pub struct ControlPlane {
     /// reads this epoch (`1.0` — the default — is an honest forecast and
     /// takes the plain [`clover_workload::DemandForecast`] path).
     forecast_factor: f64,
-    /// Serving state crossing the last epoch boundary (continuous
-    /// full-epoch serving; empty otherwise). Owned here so the queue and
-    /// in-flight work survive the epoch loop exactly like the rest of the
-    /// decision state does.
-    carry: ServingCarry,
 }
 
 impl ControlPlane {
@@ -411,16 +410,10 @@ impl ControlPlane {
             active_gpus,
             sla_violated: false,
             forecast_factor: 1.0,
-            carry: ServingCarry::default(),
         }
     }
 
-    /// The scheduler driving the plan.
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.scheduler.as_ref()
-    }
-
-    /// Sets the forecast-error factor the next [`ControlPlane::begin_epoch`]
+    /// Sets the forecast-error factor the next [`ControlPlane::begin_epoch_with`]
     /// feeds the scaler (chaos layer). Must be finite and positive; `1.0`
     /// restores the honest forecast.
     pub fn set_forecast_factor(&mut self, factor: f64) {
@@ -457,58 +450,6 @@ impl ControlPlane {
         self.scaler.down()
     }
 
-    /// Serves one epoch **continuously**: the simulator is restored from
-    /// the carry left at the previous epoch's boundary, driven for the
-    /// whole epoch, and snapshotted again — one unbroken day instead of a
-    /// cold start per epoch (the [`Fidelity::FullEpoch`] serving path).
-    /// The new boundary snapshot replaces the old one; inspect it with
-    /// [`ControlPlane::backlog`].
-    pub fn serve_continuous(
-        &mut self,
-        sim: &mut ServingSim,
-        arrivals: &mut dyn ArrivalProcess,
-        epoch_len: SimDuration,
-    ) -> WindowMetrics {
-        let carry = std::mem::take(&mut self.carry);
-        let (metrics, next) = sim.run_epoch_continuous(arrivals, epoch_len, carry);
-        self.carry = next;
-        metrics
-    }
-
-    /// Requests inside the serving system (queued + in-flight) at the last
-    /// epoch boundary served through [`ControlPlane::serve_continuous`].
-    pub fn backlog(&self) -> u64 {
-        self.carry.backlog()
-    }
-
-    /// The boundary carry itself (queued/in-flight split, not just the
-    /// total) — what the multi-region router snapshots when computing
-    /// routing weights and migration targets.
-    pub fn carry(&self) -> &ServingCarry {
-        &self.carry
-    }
-
-    /// Mutable access to the boundary carry, for epoch-boundary request
-    /// migration (the multi-region router moves queued work between
-    /// clusters through [`ServingCarry::take_queued_newest`] /
-    /// [`ServingCarry::absorb_queued`] / [`ServingCarry::drain_for_migration`]).
-    /// Only meaningful between a [`ControlPlane::serve_continuous`] call
-    /// and the next — mutating it mid-epoch has no target to land on.
-    pub fn carry_mut(&mut self) -> &mut ServingCarry {
-        &mut self.carry
-    }
-
-    /// Opens `epoch`: observes the grid, sizes the fleet, and — when a
-    /// control trigger fires (start-up, carbon drift beyond the monitor
-    /// threshold, an SLA violation in the previous epoch, a fleet resize)
-    /// — invokes the scheduler for a fresh configuration.
-    ///
-    /// Equivalent to [`ControlPlane::begin_epoch_with`] against the no-op
-    /// telemetry sink.
-    pub fn begin_epoch(&mut self, epoch: &ControlEpoch, env: &PlaneEnv<'_>) -> EpochPlan {
-        self.begin_epoch_with(epoch, env, &mut Telemetry::disabled())
-    }
-
     /// Attaches (or detaches) a phase profiler to the live evaluator, so
     /// the candidate measurements a scheduler charges inside
     /// [`Scheduler::plan`] are timed as [`Phase::Search`] — nested within
@@ -518,7 +459,10 @@ impl ControlPlane {
         self.evaluator.set_profiler(profiler);
     }
 
-    /// [`ControlPlane::begin_epoch`] with a telemetry sink.
+    /// Opens `epoch`: observes the grid, sizes the fleet, and — when a
+    /// control trigger fires (start-up, carbon drift beyond the monitor
+    /// threshold, an SLA violation in the previous epoch, a fleet resize)
+    /// — invokes the scheduler for a fresh configuration.
     ///
     /// The decision journal receives one `epoch_begin` and one `scaler`
     /// event per epoch, plus `forecast`, `plan`, `search` (schemes that
@@ -528,7 +472,8 @@ impl ControlPlane {
     /// as [`Phase::Scaler`] and the scheduler invocation as
     /// [`Phase::Plan`]. Telemetry is a strict overlay: every journal field
     /// derives from decision state the loop computes anyway, so with the
-    /// no-op sink this method *is* the plain `begin_epoch`, bit for bit.
+    /// no-op sink ([`Telemetry::disabled`]) the plan is the same, bit for
+    /// bit.
     pub fn begin_epoch_with(
         &mut self,
         epoch: &ControlEpoch,

@@ -25,31 +25,35 @@
 //!    ([`Fidelity::FullEpoch`], so bursts are actually sampled);
 //! 4. account energy → carbon through the time-varying trace at PUE 1.5.
 //!
+//! Steps 2–4 are the per-cell runtime ([`crate::cell::CellRuntime`]),
+//! which the multi-region router runs once per region too. An experiment
+//! adds the chaos hooks (the fleet's fail/repair diff at each boundary and
+//! the mid-epoch instance failures, set between planning and serving), the
+//! per-epoch timeline and the decision journal.
+//!
 //! A synchronized BASE run over the same trace and seeds provides the
 //! reference for carbon savings, accuracy loss, and normalized SLA latency.
-//! It depends on none of the scheme, chaos, scaling or SLA settings, so
-//! every live experiment with equal reference inputs shares one run of it,
+//! It is the runtime's serving half and tally without a control plane. It
+//! depends on none of the scheme, chaos, scaling or SLA settings, so every
+//! live experiment with equal reference inputs shares one run of it,
 //! advanced by whichever of them gets there first and dropped with the last
 //! of them (see `reference.rs`).
 
 use crate::anneal::{EvalRecord, SaParams};
-use crate::autoscale::{Scaler, ScalerConfig, ScalingPolicy};
+use crate::autoscale::ScalingPolicy;
+use crate::cell::{
+    calibration_window, per_served, served_accuracy_pct, CellRuntime, CellSpec, CellTally,
+};
 use crate::chaos::{ChaosConfig, FaultPlan};
-use crate::control::{
-    per_hour_or_panic, ControlPlane, EpochSchedule, Fidelity, PlaneEnv, SearchBudget,
-};
-use crate::eval::DesEvaluator;
-use crate::objective::{MeasuredPoint, Objective};
-use crate::schedulers::{make_scheduler, SchemeKind};
-use clover_carbon::{
-    CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue, Region,
-};
-use clover_mig::SliceType;
+use crate::control::{per_hour_or_panic, ControlEpoch, EpochSchedule, Fidelity, SearchBudget};
+use crate::objective::{validate_lambda, MeasuredPoint, Objective};
+use crate::schedulers::SchemeKind;
+use clover_carbon::{CarbonIntensity, CarbonMonitor, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, InstanceFailure, ServingSim, WindowMetrics};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
-use clover_telemetry::{Event, Phase, Telemetry, TelemetryReport, TelemetrySpec};
+use clover_serving::{analytic, Deployment, InstanceFailure};
+use clover_simkit::{SimDuration, SimTime};
+use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
 use reference::{Reference, ReferenceSpec};
 use serde::{Deserialize, Serialize};
@@ -458,12 +462,7 @@ impl ExperimentConfigBuilder {
             cfg.n_gpus,
             cfg.reference_gpus
         );
-        assert!(
-            cfg.lambda.is_finite() && cfg.lambda > 0.0 && cfg.lambda <= 1.0,
-            "experiment config: objective weight lambda must lie in (0, 1], got {} (lambda = 0 \
-             would ignore carbon entirely and break the Eq. 3 trade-off the schemes optimize)",
-            cfg.lambda
-        );
+        validate_lambda(cfg.lambda);
         assert!(
             (1..=cfg.n_gpus).contains(&cfg.min_gpus),
             "experiment config: min_gpus ({}) must lie in [1, n_gpus = {}]",
@@ -768,16 +767,8 @@ impl Experiment {
         let rate_rps = capacity * cfg.utilization_target;
         let workload = Workload::new(cfg.workload.clone(), rate_rps);
 
-        // Calibration window: measures BASE p95 (the SLA) and C_base. The
-        // window is long enough that the p95 estimate's sampling noise sits
-        // well inside the SLA headroom — a short calibration can
-        // underestimate the tail and leave BASE violating its own SLA.
-        let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
-        let w = calib.run_window(
-            rate_rps,
-            SimDuration::from_secs(160.0),
-            SimDuration::from_secs(16.0),
-        );
+        // Calibration window: measures BASE p95 (the SLA) and C_base.
+        let w = calibration_window(&family, perf, base_ref, rate_rps, cfg.seed);
         let base_energy = w.energy_per_request_j().expect("calibration served");
         let base_p95 = w.p95_latency_s.expect("calibration served");
         let flat_sla = base_p95 * cfg.sla_headroom;
@@ -926,12 +917,13 @@ impl Experiment {
 
     /// Runs the experiment (scheme plus the synchronized BASE reference).
     ///
-    /// Each [`crate::control::ControlEpoch`] of the schedule is one
-    /// `begin_epoch` → serve → `observe_serving` round trip through the
-    /// [`ControlPlane`]; this method owns only the accounting (ledgers,
-    /// histograms, timeline). Under the default configuration (hourly
-    /// epochs, representative window) the numbers are bit-identical to the
-    /// pre-extraction hourly loop (pinned by `tests/control_plane.rs`).
+    /// Each [`ControlEpoch`] of the schedule is one
+    /// [`CellRuntime::plan`] → [`CellRuntime::serve`] round trip through
+    /// the per-cell runtime, with the chaos hooks in between; this method
+    /// adds only the timeline and the journal. Under the default
+    /// configuration (hourly epochs, representative window) the numbers are
+    /// bit-identical to the pre-extraction hourly loop (pinned by
+    /// `tests/control_plane.rs`).
     ///
     /// The BASE reference is shared with every live experiment whose
     /// config [shares it](ExperimentConfig::shares_reference_with). After
@@ -952,118 +944,68 @@ impl Experiment {
     /// [`Experiment::run`] with a telemetry sink.
     ///
     /// Beyond the control plane's own events
-    /// ([`ControlPlane::begin_epoch_with`]), the runtime emits one
-    /// `conservation` checkpoint per epoch — the window counters that close
-    /// the per-boundary conservation law, matching the [`HourPoint`] the
-    /// timeline records — and maintains per-scheme request counters in the
-    /// metric registry. When profiling is enabled the epoch's serving
+    /// ([`crate::control::ControlPlane::begin_epoch_with`]), the run emits
+    /// one `conservation` checkpoint per epoch — the window counters that
+    /// close the per-boundary conservation law, matching the [`HourPoint`]
+    /// the timeline records — and maintains per-scheme request counters in
+    /// the metric registry. When profiling is enabled the epoch's serving
     /// measurement and the BASE reference epochs this run simulates are
-    /// timed as [`Phase::Des`]; reference epochs simulated by a sibling
-    /// experiment land in the sibling's profile, and time spent waiting
-    /// for one lands in no phase. [`Phase::Carry`] (boundary hand-off
-    /// inside continuous serving) is nested within [`Phase::Des`], as
-    /// [`Phase::Search`] is within [`Phase::Plan`]. Telemetry is a strict
-    /// overlay: with the no-op sink this method *is* [`Experiment::run`],
-    /// bit for bit.
+    /// timed as `Des`; reference epochs simulated by a sibling experiment
+    /// land in the sibling's profile, and time spent waiting for one lands
+    /// in no phase. `Carry` (boundary hand-off inside continuous serving) is
+    /// nested within `Des`, as `Search` is within `Plan`. Telemetry is a
+    /// strict overlay: with the no-op sink this method *is*
+    /// [`Experiment::run`], bit for bit.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let epochs = schedule.count();
-        let epoch_len = schedule.epoch_len();
-        let epoch_hours = schedule.epoch_hours();
-        let wp = cfg.fidelity.window_plan(epoch_len);
-
-        let initial = Deployment::base(&self.family, cfg.n_gpus);
-        // The search budget is resolved against the cadence once: sub-hour
-        // epochs cap the SA's charged live time and iteration budget, the
-        // hourly default passes the paper's parameters through untouched.
-        let sa = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
-        let scheduler = make_scheduler(&cfg.scheme, &self.family, cfg.n_gpus, sa);
-        let evaluator = DesEvaluator::new(
-            self.family.clone(),
-            self.perf,
-            self.rate_rps,
-            initial.clone(),
-            cfg.seed ^ 0xE7A1,
-        );
+        let mut cell = CellRuntime::new(CellSpec {
+            family: &self.family,
+            perf: self.perf,
+            trace: self.trace.clone(),
+            seed: cfg.seed,
+            scheme: &cfg.scheme,
+            n_gpus: cfg.n_gpus,
+            min_gpus: cfg.min_gpus,
+            scaling: cfg.scaling,
+            capacity_per_gpu_rps: self.capacity_per_gpu_rps,
+            utilization_target: cfg.utilization_target,
+            monitor_threshold: cfg.monitor_threshold,
+            // Sub-hour epochs cap the SA's charged live time and iteration
+            // budget; the hourly default passes the paper's parameters
+            // through untouched.
+            sa: cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s),
+            fidelity: &cfg.fidelity,
+            schedule: &schedule,
+        });
+        // Intra-epoch sharding (continuous epochs only; the default of 1
+        // keeps the simulator on the classic engine, digests unchanged).
+        cell.serving.sim.set_intra_epoch_shards(cfg.des_shards);
+        cell.serving.sim.set_shard_threads(self.shard_threads);
+        cell.set_profiler(telemetry);
         // Everything that will go wrong this run, drawn up front from the
         // seed. Chaos off generates nothing and touches no RNG — the run
         // is bit-identical to one without the chaos layer (tests/chaos.rs
         // pins the fault-free digests against the pre-chaos values).
-        let fault_plan = FaultPlan::generate(
+        let faults = FaultPlan::generate(
             &cfg.chaos,
             cfg.seed,
             cfg.n_gpus,
             epochs as usize,
             cfg.control_epoch_s,
         );
-        let chaos_on = !fault_plan.is_empty();
-
-        let mut monitor = CarbonMonitor::new(self.trace.clone(), cfg.monitor_threshold);
-        let gaps = fault_plan.carbon_gaps();
+        let chaos_on = !faults.is_empty();
+        let gaps = faults.carbon_gaps();
         if !gaps.is_empty() {
-            monitor.set_gaps(
+            cell.plane.set_carbon_gaps(
                 gaps,
                 SimDuration::from_secs(CarbonMonitor::DEFAULT_AGE_CAP_S),
             );
         }
-        let rng = SimRng::new(cfg.seed ^ 0x5C8E);
-        let pue = Pue::PAPER_DEFAULT;
-        let mut ledger = CarbonLedger::new(self.trace.clone(), pue);
 
-        let mut sim = ServingSim::new(
-            self.family.clone(),
-            self.perf,
-            initial.clone(),
-            cfg.seed ^ 0x11,
-        );
-        // Intra-epoch sharding (continuous epochs only; the default of 1
-        // keeps the simulator on the classic engine, digests unchanged).
-        sim.set_intra_epoch_shards(cfg.des_shards);
-        sim.set_shard_threads(self.shard_threads);
-
-        let mut hist = LatencyHistogram::for_latency();
-        let mut per_variant = vec![0.0f64; self.family.len()];
-        let mut served_scaled = 0.0f64;
-        let mut sim_events = 0u64;
-        let mut optimization_time_s = 0.0f64;
         let mut timeline = Vec::with_capacity(epochs as usize);
         let mut invocations = Vec::new();
-
-        // The elastic fleet: one scaler decision per control epoch. Under
-        // the default Static policy this collapses to the paper's fixed
-        // fleet (all GPUs active, zero standby charge, identical numbers).
-        let mut scaler_cfg = ScalerConfig::new(
-            cfg.scaling,
-            cfg.min_gpus,
-            cfg.n_gpus,
-            self.capacity_per_gpu_rps,
-        );
-        scaler_cfg.target_utilization = cfg.utilization_target;
-        let scaler = Scaler::new(scaler_cfg);
-
-        let mut plane = ControlPlane::new(scheduler, monitor, scaler, evaluator, rng);
-        // Timing is keyed off shared atomic cells: the evaluator's
-        // candidate windows land in Search, the serving simulators'
-        // boundary hand-offs in Carry. No-ops when profiling is off.
-        plane.set_profiler(telemetry.profiler());
-        sim.set_profiler(telemetry.profiler());
-        let env = PlaneEnv {
-            family: &self.family,
-            perf: &self.perf,
-            objective: &self.objective,
-            workload: &self.workload,
-        };
-        let mut active_gpu_hours = 0.0f64;
-        // Under FullEpoch fidelity the run is *continuous*: queue and
-        // in-flight state cross every epoch boundary (the scheme's carry is
-        // owned by the control plane, the synchronized BASE reference keeps
-        // its own), so a 2-minute cadence simulates one unbroken day
-        // instead of 720 cold starts.
-        let continuous = matches!(cfg.fidelity, Fidelity::FullEpoch);
-        // The deployment currently serving — tracked so the chaos layer
-        // can map a failed physical GPU onto its instance range.
-        let mut current_deployment = initial;
         // Physical GPUs the control plane saw down at the previous epoch
         // boundary; the per-boundary diff turns the fault plan's down
         // intervals into scaler fail/repair transitions.
@@ -1071,178 +1013,23 @@ impl Experiment {
 
         for epoch in schedule.iter() {
             let t = epoch.start;
-            // Chaos, boundary half: reconcile the fleet with the fault
-            // plan *before* the plane plans — `begin_epoch` must size and
-            // partition the surviving fleet, not the paper fleet. Repairs
-            // re-enter through the scaler's warming state. The
-            // synchronized BASE reference below stays un-faulted: it is
-            // the ideal-world yardstick carbon savings are measured
-            // against, and faulting it too would let a failing scheme
-            // hide behind a failing baseline.
             if chaos_on {
-                let t_s = t.as_secs();
-                let down_now = fault_plan.down_at(t_s);
-                let failed: Vec<usize> = down_now
-                    .iter()
-                    .copied()
-                    .filter(|g| !prev_down.contains(g))
-                    .collect();
-                let repaired: Vec<usize> = prev_down
-                    .iter()
-                    .copied()
-                    .filter(|g| !down_now.contains(g))
-                    .collect();
-                plane.fleet_fail(failed.len());
-                plane.fleet_repair(repaired.len());
-                plane.set_forecast_factor(fault_plan.forecast_factor(epoch.index as usize));
-                if telemetry.journal_mut().is_some() {
-                    for &g in &failed {
-                        telemetry.emit(
-                            Event::new("fault", t)
-                                .str("kind", "gpu")
-                                .u64("gpu", g as u64)
-                                .u64("epoch", u64::from(epoch.index)),
-                        );
-                    }
-                    for &g in &repaired {
-                        telemetry.emit(
-                            Event::new("repair", t)
-                                .str("kind", "gpu")
-                                .u64("gpu", g as u64)
-                                .u64("epoch", u64::from(epoch.index)),
-                        );
-                    }
-                }
-                if let Some(m) = telemetry.metrics_mut() {
-                    let labels: &[(&str, &str)] = &[("scheme", cfg.scheme.label())];
-                    if !failed.is_empty() {
-                        m.counter_add(
-                            "clover_fault_gpu_failures_total",
-                            labels,
-                            failed.len() as u64,
-                        );
-                    }
-                    if !repaired.is_empty() {
-                        m.counter_add(
-                            "clover_fault_gpu_repairs_total",
-                            labels,
-                            repaired.len() as u64,
-                        );
-                    }
-                    m.gauge_set("clover_fault_gpus_down", labels, down_now.len() as f64);
-                }
-                prev_down = down_now;
+                prev_down = self.reconcile_faults(&mut cell, &faults, &epoch, prev_down, telemetry);
             }
-            let plan = plane.begin_epoch_with(&epoch, &env, telemetry);
+            let plan = cell.plan(&epoch, &self.objective, &self.workload, telemetry);
             let ci = plan.ci;
             let fleet = plan.fleet;
-            active_gpu_hours += fleet.active as f64 * epoch_hours;
-
             if let Some(run) = plan.run {
-                optimization_time_s += run.time_spent_s;
                 invocations.push(InvocationRecord {
                     at_hours: epoch.start_hours(),
                     time_spent_s: run.time_spent_s,
                     evals: run.evals,
                 });
             }
-            // Exploration traffic is real traffic: fold it in 1:1 — also
-            // for schemes that measure candidates without reporting an
-            // optimization run (the windows were still served live).
-            for w in &plan.eval_windows {
-                sim_events += w.sim_events;
-                Self::accumulate(
-                    &mut ledger,
-                    &mut hist,
-                    &mut per_variant,
-                    &mut served_scaled,
-                    t,
-                    w,
-                    1.0,
-                );
-            }
-            if let Some(deployment) = plan.deployment {
-                current_deployment = deployment.clone();
-                sim.set_deployment(deployment);
-            }
-
-            // Chaos, serving half: faults landing *inside* this epoch
-            // become DES events. Under continuous (full-epoch) serving a
-            // mid-window GPU kill takes down its instance range at the
-            // fault instant — in-flight work re-queues oldest-first; the
-            // representative-window path gets epoch-granularity fleet
-            // effects only (the boundary diff above), since its short
-            // window does not span the epoch it extrapolates. A fully
-            // dead fleet is killed at the window's open on either path:
-            // arrivals queue, shed at the bound, and recover after
-            // repair — no scheme gets to deadlock.
             if chaos_on {
-                let t_s = t.as_secs();
-                let end_s = t_s + epoch_len.as_secs();
-                let mut failures: Vec<InstanceFailure> = Vec::new();
-                if fleet.active == 0 {
-                    let n_inst = current_deployment.n_instances();
-                    if n_inst > 0 {
-                        failures.push(InstanceFailure {
-                            at_s: 0.0,
-                            instances: (0..n_inst as u32).collect(),
-                            gpus: current_deployment.n_gpus() as u32,
-                        });
-                    }
-                } else if continuous {
-                    // Deployment slot j serves on the j-th lowest alive
-                    // physical GPU; instances are flat in GPU order, so
-                    // prefix sums over the per-GPU slice counts give each
-                    // slot's instance range.
-                    let mut offsets = vec![0u32];
-                    for c in current_deployment.partitioning().configs() {
-                        offsets.push(offsets.last().unwrap() + c.num_slices() as u32);
-                    }
-                    let alive: Vec<usize> = (0..cfg.n_gpus)
-                        .filter(|&g| !fault_plan.is_down(g, t_s))
-                        .collect();
-                    let deployed = current_deployment.n_gpus();
-                    for kill in fault_plan.kills_in(t_s, end_s) {
-                        let Some(slot) = alive.iter().take(deployed).position(|&g| g == kill.gpu)
-                        else {
-                            continue; // fell on a board outside the deployment
-                        };
-                        if telemetry.journal_mut().is_some() {
-                            telemetry.emit(
-                                Event::new("fault", SimTime::from_secs(kill.at_s()))
-                                    .str("kind", "kill")
-                                    .u64("gpu", kill.gpu as u64)
-                                    .u64("instances", u64::from(offsets[slot + 1] - offsets[slot])),
-                            );
-                        }
-                        failures.push(InstanceFailure {
-                            at_s: kill.at_s() - t_s,
-                            instances: (offsets[slot]..offsets[slot + 1]).collect(),
-                            gpus: 1,
-                        });
-                    }
-                    let n_inst = current_deployment.n_instances();
-                    for crash in fault_plan.crashes_in(t_s, end_s) {
-                        if n_inst == 0 {
-                            break;
-                        }
-                        let idx = ((crash.selector * n_inst as f64) as usize).min(n_inst - 1);
-                        if telemetry.journal_mut().is_some() {
-                            telemetry.emit(
-                                Event::new("fault", SimTime::from_secs(crash.at_s))
-                                    .str("kind", "crash")
-                                    .u64("instance", idx as u64),
-                            );
-                        }
-                        failures.push(InstanceFailure {
-                            at_s: crash.at_s - t_s,
-                            instances: vec![idx as u32],
-                            gpus: 0,
-                        });
-                    }
-                }
+                let failures = self.epoch_failures(&cell, &faults, &epoch, telemetry);
                 if !failures.is_empty() {
-                    sim.set_window_failures(failures);
+                    cell.serving.sim.set_window_failures(failures);
                 }
             }
 
@@ -1252,54 +1039,14 @@ impl Experiment {
             // — driven by the workload's arrival process anchored at the
             // epoch's start.
             let mut arrivals = self.workload.process_from(t);
-            let des_scope = telemetry.scope(Phase::Des);
-            let w = if continuous {
-                plane.serve_continuous(&mut sim, arrivals.as_mut(), epoch_len)
-            } else {
-                sim.run_window_with(arrivals.as_mut(), wp.window, wp.warmup)
-            };
-            drop(des_scope);
-            sim_events += w.sim_events;
-            Self::accumulate(
-                &mut ledger,
-                &mut hist,
-                &mut per_variant,
-                &mut served_scaled,
-                t,
-                &w,
-                wp.scale,
+            let w = cell.serve(
+                &epoch,
+                arrivals.as_mut(),
+                &self.objective,
+                &self.workload,
+                telemetry,
             );
-
-            // GPUs the scaler holds out of the deployment still cost power:
-            // powered-off boards draw standby watts, warming boards pay the
-            // full static floor while they repartition and load models.
-            // (With the Static policy both counts are zero and this charge
-            // vanishes.) The serving windows above already cover the
-            // active fleet's static/idle/dynamic draw.
-            // Down boards draw nothing — a failed GPU is off the bus, not
-            // on standby — so they are carved out of the off count the
-            // scaler reports (chaos off ⇒ gpus_down() == 0, identical sum).
-            let off_powered = fleet.off.saturating_sub(plane.gpus_down());
-            let overhead_w = off_powered as f64 * self.perf.power.standby_gpu_w()
-                + fleet.warming as f64 * self.perf.power.gpu_static_w();
-            ledger.record_power(t, epoch_len, overhead_w);
-            // Draining boards are the honest scale-down transition cost:
-            // still powered while in-flight work empties, admitting
-            // nothing, until the next epoch boundary confirms them empty.
-            // The draw is modeled as the static floor plus a fully
-            // allocated board's idle residual (one G7 slice) — the
-            // retired board's exact partitioning is no longer tracked
-            // once it leaves the deployment, and the full-allocation
-            // residual is the conservative bound. Sub-hour epochs
-            // shorten exactly this window.
-            if fleet.draining > 0 {
-                let drain_w = fleet.draining as f64
-                    * (self.perf.power.gpu_static_w()
-                        + self.perf.power.idle_slice_w(SliceType::G7));
-                ledger.record_power(t, epoch_len, drain_w);
-            }
-
-            plane.observe_serving(&epoch, &w, &env);
+            let backlog = cell.serving.carry().backlog();
             let epoch_acc = w
                 .accuracy_pct(&self.family)
                 .unwrap_or(self.family.accuracy_base());
@@ -1334,7 +1081,7 @@ impl Experiment {
                 arrived: w.arrived,
                 served: w.served,
                 dropped: w.dropped,
-                backlog: plane.backlog(),
+                backlog,
             });
             // The conservation checkpoint mirrors the HourPoint counters
             // exactly (window counts, not extrapolated): `tests/telemetry.rs`
@@ -1348,7 +1095,7 @@ impl Experiment {
                         .u64("arrived", w.arrived)
                         .u64("served", w.served)
                         .u64("dropped", w.dropped)
-                        .u64("backlog", plane.backlog())
+                        .u64("backlog", backlog)
                         .f64("leak", w.conservation_leak as f64),
                 );
             }
@@ -1359,7 +1106,7 @@ impl Experiment {
                 m.counter_add("clover_requests_arrived_total", labels, w.arrived);
                 m.counter_add("clover_requests_served_total", labels, w.served);
                 m.counter_add("clover_requests_dropped_total", labels, w.dropped);
-                m.gauge_set("clover_backlog_requests", labels, plane.backlog() as f64);
+                m.gauge_set("clover_backlog_requests", labels, backlog as f64);
                 m.gauge_set("clover_active_gpus", labels, fleet.active as f64);
                 if w.conservation_leak != 0 {
                     m.counter_add("clover_conservation_violations_total", labels, 1);
@@ -1376,45 +1123,179 @@ impl Experiment {
                 .advance(epoch.index, telemetry, self.shard_threads);
         }
         let base = self.reference.finish(telemetry, self.shard_threads);
-        sim_events += base.sim_events;
+        self.outcome(&cell, &schedule, &base, timeline, invocations)
+    }
 
-        let total_carbon_g = ledger.carbon().grams();
-        let base_carbon_g = base.carbon_g;
-        let accuracy_pct = {
-            let total: f64 = per_variant.iter().sum();
-            if total == 0.0 {
-                self.family.accuracy_base()
-            } else {
-                per_variant
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| self.family.variants[i].accuracy_pct * n)
-                    .sum::<f64>()
-                    / total
+    /// Chaos, boundary half: reconciles the fleet with the fault plan
+    /// *before* the plane plans — `begin_epoch` must size and partition the
+    /// surviving fleet, not the paper fleet. Repairs re-enter through the
+    /// scaler's warming state. The synchronized BASE reference stays
+    /// un-faulted: it is the ideal-world yardstick carbon savings are
+    /// measured against, and faulting it too would let a failing scheme
+    /// hide behind a failing baseline. Returns the GPUs down now.
+    fn reconcile_faults(
+        &self,
+        cell: &mut CellRuntime,
+        faults: &FaultPlan,
+        epoch: &ControlEpoch,
+        prev_down: Vec<usize>,
+        telemetry: &mut Telemetry,
+    ) -> Vec<usize> {
+        let t = epoch.start;
+        let down_now = faults.down_at(t.as_secs());
+        let failed: Vec<usize> = down_now
+            .iter()
+            .copied()
+            .filter(|g| !prev_down.contains(g))
+            .collect();
+        let repaired: Vec<usize> = prev_down
+            .iter()
+            .copied()
+            .filter(|g| !down_now.contains(g))
+            .collect();
+        let plane = &mut cell.plane;
+        plane.fleet_fail(failed.len());
+        plane.fleet_repair(repaired.len());
+        plane.set_forecast_factor(faults.forecast_factor(epoch.index as usize));
+        if telemetry.journal_mut().is_some() {
+            for (kind, gpus) in [("fault", &failed), ("repair", &repaired)] {
+                for &g in gpus {
+                    telemetry.emit(
+                        Event::new(kind, t)
+                            .str("kind", "gpu")
+                            .u64("gpu", g as u64)
+                            .u64("epoch", u64::from(epoch.index)),
+                    );
+                }
             }
-        };
+        }
+        if let Some(m) = telemetry.metrics_mut() {
+            let labels: &[(&str, &str)] = &[("scheme", self.cfg.scheme.label())];
+            if !failed.is_empty() {
+                m.counter_add(
+                    "clover_fault_gpu_failures_total",
+                    labels,
+                    failed.len() as u64,
+                );
+            }
+            if !repaired.is_empty() {
+                m.counter_add(
+                    "clover_fault_gpu_repairs_total",
+                    labels,
+                    repaired.len() as u64,
+                );
+            }
+            m.gauge_set("clover_fault_gpus_down", labels, down_now.len() as f64);
+        }
+        down_now
+    }
+
+    /// Chaos, serving half: faults landing *inside* this epoch become DES
+    /// events. Under continuous (full-epoch) serving a mid-window GPU kill
+    /// takes down its instance range at the fault instant — in-flight work
+    /// re-queues oldest-first; the representative-window path gets
+    /// epoch-granularity fleet effects only (the boundary diff), since its
+    /// short window does not span the epoch it extrapolates. A fully dead
+    /// fleet is killed at the window's open on either path: arrivals queue,
+    /// shed at the bound, and recover after repair — no scheme gets to
+    /// deadlock.
+    fn epoch_failures(
+        &self,
+        cell: &CellRuntime,
+        faults: &FaultPlan,
+        epoch: &ControlEpoch,
+        telemetry: &mut Telemetry,
+    ) -> Vec<InstanceFailure> {
+        let deployment = cell.serving.sim.deployment();
+        let n_inst = deployment.n_instances();
+        if cell.fleet().active == 0 {
+            return if n_inst > 0 {
+                vec![InstanceFailure {
+                    at_s: 0.0,
+                    instances: (0..n_inst as u32).collect(),
+                    gpus: deployment.n_gpus() as u32,
+                }]
+            } else {
+                Vec::new()
+            };
+        }
+        if !matches!(self.cfg.fidelity, Fidelity::FullEpoch) {
+            return Vec::new();
+        }
+        let t_s = epoch.start.as_secs();
+        let end_s = t_s + epoch.len.as_secs();
+        let mut failures = Vec::new();
+        // Deployment slot j serves on the j-th lowest alive physical GPU;
+        // instances are flat in GPU order, so prefix sums over the per-GPU
+        // slice counts give each slot's instance range.
+        let mut offsets = vec![0u32];
+        for c in deployment.partitioning().configs() {
+            offsets.push(offsets.last().unwrap() + c.num_slices() as u32);
+        }
+        let alive: Vec<usize> = (0..self.cfg.n_gpus)
+            .filter(|&g| !faults.is_down(g, t_s))
+            .collect();
+        let deployed = deployment.n_gpus();
+        for kill in faults.kills_in(t_s, end_s) {
+            let Some(slot) = alive.iter().take(deployed).position(|&g| g == kill.gpu) else {
+                continue; // fell on a board outside the deployment
+            };
+            if telemetry.journal_mut().is_some() {
+                telemetry.emit(
+                    Event::new("fault", SimTime::from_secs(kill.at_s()))
+                        .str("kind", "kill")
+                        .u64("gpu", kill.gpu as u64)
+                        .u64("instances", u64::from(offsets[slot + 1] - offsets[slot])),
+                );
+            }
+            failures.push(InstanceFailure {
+                at_s: kill.at_s() - t_s,
+                instances: (offsets[slot]..offsets[slot + 1]).collect(),
+                gpus: 1,
+            });
+        }
+        for crash in faults.crashes_in(t_s, end_s) {
+            if n_inst == 0 {
+                break;
+            }
+            let idx = ((crash.selector * n_inst as f64) as usize).min(n_inst - 1);
+            if telemetry.journal_mut().is_some() {
+                telemetry.emit(
+                    Event::new("fault", SimTime::from_secs(crash.at_s))
+                        .str("kind", "crash")
+                        .u64("instance", idx as u64),
+                );
+            }
+            failures.push(InstanceFailure {
+                at_s: crash.at_s - t_s,
+                instances: vec![idx as u32],
+                gpus: 0,
+            });
+        }
+        failures
+    }
+
+    /// The run's totals against the finished BASE reference.
+    fn outcome(
+        &self,
+        cell: &CellRuntime,
+        schedule: &EpochSchedule,
+        base: &CellTally,
+        timeline: Vec<HourPoint>,
+        invocations: Vec<InvocationRecord>,
+    ) -> ExperimentOutcome {
+        let cfg = &self.cfg;
+        let tally = &cell.tally;
+        let total_carbon_g = tally.carbon_g();
+        let base_carbon_g = base.carbon_g();
+        let served_scaled = tally.served_scaled();
+        let accuracy_pct = served_accuracy_pct(&self.family, tally.per_variant());
         let a_base = self.family.accuracy_base();
-        // A run that served nothing has no measured tail: NaN (like the
-        // per-request metrics below), never 0.0 — `sla_met` compares
-        // false against NaN, so a fully wedged run cannot pass its SLA.
-        let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
-        let base_p95_s = base.p95_s;
-        let horizon_s = cfg.horizon_hours * 3600.0;
-        let energy_per_request_j = if served_scaled > 0.0 {
-            ledger.it_energy().joules() / served_scaled
-        } else {
-            f64::NAN
-        };
-        let carbon_per_req_g = if served_scaled > 0.0 {
-            total_carbon_g / served_scaled
-        } else {
-            f64::NAN
-        };
-        let base_carbon_per_req_g = if base.served_scaled > 0.0 {
-            base_carbon_g / base.served_scaled
-        } else {
-            f64::NAN
-        };
+        let p95_s = tally.p95_s();
+        let base_p95_s = base.p95_s();
+        let optimization_time_s = cell.optimization_time_s();
+        let saving_g_per_request = per_served(base_carbon_g, base.served_scaled())
+            - per_served(total_carbon_g, served_scaled);
 
         ExperimentOutcome {
             scheme: cfg.scheme.label().to_string(),
@@ -1428,7 +1309,8 @@ impl Experiment {
             fidelity: cfg.fidelity.label().to_string(),
             control_epoch_s: cfg.control_epoch_s,
             n_gpus: cfg.n_gpus,
-            mean_active_gpus: active_gpu_hours / (f64::from(epochs.max(1)) * epoch_hours),
+            mean_active_gpus: cell.active_gpu_hours()
+                / (f64::from(schedule.count().max(1)) * schedule.epoch_hours()),
             lambda: cfg.lambda,
             horizon_hours: cfg.horizon_hours,
             rate_rps: self.rate_rps,
@@ -1443,34 +1325,16 @@ impl Experiment {
             base_p95_s,
             p95_norm_to_base: p95_s / base_p95_s,
             sla_met: p95_s <= self.objective.l_tail_s,
-            energy_per_request_j,
-            saving_g_per_request: base_carbon_per_req_g - carbon_per_req_g,
+            energy_per_request_j: per_served(tally.it_energy_j(), served_scaled),
+            saving_g_per_request,
             optimization_time_s,
-            optimization_fraction: optimization_time_s / horizon_s,
+            optimization_fraction: optimization_time_s / (cfg.horizon_hours * 3600.0),
             served_scaled,
-            sim_events,
-            base_sim_events: base.sim_events,
+            sim_events: tally.sim_events() + base.sim_events(),
+            base_sim_events: base.sim_events(),
             timeline,
             invocations,
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate(
-        ledger: &mut CarbonLedger,
-        hist: &mut LatencyHistogram,
-        per_variant: &mut [f64],
-        served_scaled: &mut f64,
-        at: SimTime,
-        w: &WindowMetrics,
-        scale: f64,
-    ) {
-        ledger.record_energy_at(at, Energy::from_joules(w.it_energy_j() * scale));
-        hist.merge(&w.latency_hist);
-        for (acc, &n) in per_variant.iter_mut().zip(w.per_variant_served.iter()) {
-            *acc += n as f64 * scale;
-        }
-        *served_scaled += w.served as f64 * scale;
     }
 }
 

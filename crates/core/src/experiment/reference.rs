@@ -7,7 +7,11 @@
 //! scaling and SLA settings are not among them, so every cell of a grid
 //! that shares a seed would simulate the same reference.
 //!
-//! Instead, every live [`Experiment`](super::Experiment) whose spec is
+//! The run is the per-cell runtime's serving half and tally
+//! ([`CellServing`], [`CellTally`]) without a control plane: the BASE
+//! deployment on the reference GPUs, never re-planned, never faulted.
+//!
+//! Every live [`Experiment`](super::Experiment) whose spec is
 //! equal holds one shared [`Reference`]. A private registry of `Weak`
 //! handles hands out the same `Arc`, so a reference lives exactly as long
 //! as the experiments holding it; nothing is remembered once they are
@@ -16,17 +20,16 @@
 //! The reference advances lazily. After serving its own epoch *e*, a cell
 //! tries the lock: if it is free, the cell simulates the reference through
 //! *e*; if another cell holds it, the cell moves on. After its last epoch,
-//! a cell blocks until the rest is simulated and reads the totals. The run
+//! a cell blocks until the rest is simulated and reads the tally. The run
 //! reads only its spec and its epochs run in order, so which cell advanced
 //! which epoch cannot change a bit of any outcome.
 
 use super::{ExperimentConfig, TraceSource};
-use crate::control::{EpochSchedule, Fidelity, WindowPlan};
-use clover_carbon::{CarbonLedger, Energy, Pue};
+use crate::cell::{CellServing, CellTally};
+use crate::control::{EpochSchedule, Fidelity};
 use clover_models::zoo::Application;
 use clover_models::PerfModel;
-use clover_serving::{analytic, Deployment, ServingCarry, ServingSim};
-use clover_simkit::LatencyHistogram;
+use clover_serving::{analytic, Deployment, ServingSim};
 use clover_telemetry::{Phase, Telemetry};
 use clover_workload::{Workload, WorkloadKind};
 use std::sync::{Arc, Mutex, PoisonError, TryLockError, Weak};
@@ -63,19 +66,6 @@ impl ReferenceSpec {
     }
 }
 
-/// What a cell reads from the finished reference.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct ReferenceTotals {
-    /// Operational carbon, grams.
-    pub(super) carbon_g: f64,
-    /// Run-level p95 latency, seconds (NaN if nothing was served).
-    pub(super) p95_s: f64,
-    /// Requests served, extrapolated to the horizon.
-    pub(super) served_scaled: f64,
-    /// Discrete events simulated.
-    pub(super) sim_events: u64,
-}
-
 /// One BASE reference run, shared by every experiment with its spec.
 pub(super) struct Reference {
     spec: ReferenceSpec,
@@ -87,7 +77,8 @@ enum State {
     /// experiment stays as cheap as before.
     Idle,
     Running(Box<Run>),
-    Done(ReferenceTotals),
+    /// The finished run's accounting, read by every cell.
+    Done(Arc<CellTally>),
 }
 
 /// Live references, one per distinct spec. The `Weak` handles never keep a
@@ -130,19 +121,19 @@ impl Reference {
     }
 
     /// Simulates whatever epochs remain, waiting for any cell advancing the
-    /// reference, and returns the totals.
+    /// reference, and returns its tally.
     pub(super) fn finish(
         &self,
         telemetry: &Telemetry,
         shard_threads: Option<usize>,
-    ) -> ReferenceTotals {
+    ) -> Arc<CellTally> {
         let mut state = self
             .state
             .lock()
             .expect("BASE reference poisoned: a cell panicked while advancing it");
         self.run_until(&mut state, u32::MAX, telemetry, shard_threads);
-        match *state {
-            State::Done(totals) => totals,
+        match &*state {
+            State::Done(tally) => tally.clone(),
             _ => unreachable!("run_until(u32::MAX) completes the reference"),
         }
     }
@@ -166,15 +157,18 @@ impl Reference {
         if run.next < end {
             // Neither setting changes a result: boundary hand-offs are timed
             // as this cell's Carry, and sharded epochs use its thread budget.
-            run.sim.set_profiler(telemetry.profiler());
-            run.sim.set_shard_threads(shard_threads);
+            run.serving.sim.set_profiler(telemetry.profiler());
+            run.serving.sim.set_shard_threads(shard_threads);
             let _des = telemetry.scope(Phase::Des);
             while run.next < end {
                 run.serve_next();
             }
         }
         if run.next == run.schedule.count() {
-            *state = State::Done(run.totals());
+            let State::Running(run) = std::mem::replace(state, State::Idle) else {
+                unreachable!("matched Running above");
+            };
+            *state = State::Done(Arc::new(run.tally));
         }
     }
 }
@@ -189,18 +183,13 @@ impl Drop for Reference {
     }
 }
 
-/// The reference's simulation state between epochs.
+/// The reference's simulation state between epochs: the per-cell
+/// runtime's serving half and tally, with no control plane.
 struct Run {
     schedule: EpochSchedule,
-    wp: WindowPlan,
-    continuous: bool,
     workload: Workload,
-    sim: ServingSim,
-    carry: ServingCarry,
-    ledger: CarbonLedger,
-    hist: LatencyHistogram,
-    served_scaled: f64,
-    sim_events: u64,
+    serving: CellServing,
+    tally: CellTally,
     /// Epochs simulated so far.
     next: u32,
 }
@@ -215,19 +204,14 @@ impl Run {
         // The workload rate, derived exactly as `Experiment::new` derives it.
         let rate_rps =
             analytic::estimate(&family, &perf, &base, 1.0).capacity_rps * spec.utilization_target;
+        let variants = family.len();
         let mut sim = ServingSim::new(family, perf, base, spec.seed ^ 0x22);
         sim.set_intra_epoch_shards(spec.des_shards);
         Run {
-            wp: spec.fidelity.window_plan(schedule.epoch_len()),
+            serving: CellServing::new(sim, &spec.fidelity, schedule.epoch_len()),
             schedule,
-            continuous: matches!(spec.fidelity, Fidelity::FullEpoch),
             workload: Workload::new(spec.workload.clone(), rate_rps),
-            sim,
-            carry: ServingCarry::default(),
-            ledger: CarbonLedger::new(trace, Pue::PAPER_DEFAULT),
-            hist: LatencyHistogram::for_latency(),
-            served_scaled: 0.0,
-            sim_events: 0,
+            tally: CellTally::new(trace, variants),
             next: 0,
         }
     }
@@ -241,34 +225,10 @@ impl Run {
             .iter()
             .nth(self.next as usize)
             .expect("serve_next is called only before the horizon");
-        let t = epoch.start;
-        let mut arrivals = self.workload.process_from(t);
-        let w = if self.continuous {
-            let carry = std::mem::take(&mut self.carry);
-            let (w, next) = self
-                .sim
-                .run_epoch_continuous(arrivals.as_mut(), epoch.len, carry);
-            self.carry = next;
-            w
-        } else {
-            self.sim
-                .run_window_with(arrivals.as_mut(), self.wp.window, self.wp.warmup)
-        };
-        self.sim_events += w.sim_events;
-        self.ledger
-            .record_energy_at(t, Energy::from_joules(w.it_energy_j() * self.wp.scale));
-        self.hist.merge(&w.latency_hist);
-        self.served_scaled += w.served as f64 * self.wp.scale;
+        let mut arrivals = self.workload.process_from(epoch.start);
+        let w = self.serving.serve(arrivals.as_mut());
+        self.tally.record(epoch.start, &w, self.serving.scale());
         self.next += 1;
-    }
-
-    fn totals(&self) -> ReferenceTotals {
-        ReferenceTotals {
-            carbon_g: self.ledger.carbon().grams(),
-            p95_s: self.hist.quantile(0.95).unwrap_or(f64::NAN),
-            served_scaled: self.served_scaled,
-            sim_events: self.sim_events,
-        }
     }
 }
 

@@ -38,6 +38,7 @@
 
 pub mod anneal;
 pub mod autoscale;
+pub mod cell;
 pub mod chaos;
 pub mod control;
 pub mod eval;

@@ -18,6 +18,16 @@
 use clover_carbon::{CarbonIntensity, Energy};
 use serde::{Deserialize, Serialize};
 
+/// Panics unless the objective weight λ of a run lies in `(0, 1]`. Every
+/// run builder (single-cluster and multi-region) checks λ here.
+pub fn validate_lambda(lambda: f64) {
+    assert!(
+        lambda.is_finite() && lambda > 0.0 && lambda <= 1.0,
+        "objective weight lambda must lie in (0, 1], got {lambda} (lambda = 0 would ignore carbon \
+         entirely and break the Eq. 3 trade-off the schemes optimize)"
+    );
+}
+
 /// What an evaluation of a candidate configuration measures.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredPoint {

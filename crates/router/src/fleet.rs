@@ -1,27 +1,23 @@
 //! One region's serving stack, wrapped for the global router.
 //!
-//! A [`RegionalFleet`] is today's single-cluster pipeline promoted to a
-//! component: its own carbon trace (the region's generator), its own
-//! autoscaler and [`ControlPlane`] running the scheme's scheduler, its own
-//! continuous [`ServingSim`], its own carbon ledger — and its own RNG
-//! substream, so adding or removing a region never re-deals another
+//! A `RegionalFleet` is one [`CellRuntime`] (the per-cell runtime the
+//! single-cluster experiment runs too) plus what only the router needs:
+//! the region's outage state and the live-traffic counters routing reads.
+//! Each fleet has its own carbon trace (the region's generator) and its
+//! own RNG substream, so adding or removing a region never re-deals another
 //! region's randomness. The [`crate::GlobalRouter`] owns the fleet
 //! collection and decides, each control epoch, what share of global
 //! traffic each fleet serves.
 
 use crate::policy::RegionSnapshot;
-use clover_carbon::{CarbonLedger, CarbonMonitor, Energy, Pue, Region};
-use clover_core::anneal::SaParams;
-use clover_core::control::{ControlEpoch, ControlPlane, PlaneEnv};
-use clover_core::schedulers::{make_scheduler, SchemeKind};
-use clover_core::{DesEvaluator, FleetState, Objective, Scaler, ScalerConfig, ScalingPolicy};
-use clover_mig::SliceType;
-use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{Deployment, ServingCarry, ServingSim, WindowMetrics};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
-use clover_telemetry::{Phase, Telemetry};
-use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
-use std::sync::Arc;
+use clover_carbon::Region;
+use clover_core::cell::CellRuntime;
+use clover_core::control::ControlEpoch;
+use clover_core::Objective;
+use clover_serving::WindowMetrics;
+use clover_simkit::{SimRng, SimTime};
+use clover_telemetry::Telemetry;
+use clover_workload::{ArrivalProcess, Workload};
 
 /// Weight floor the *planning* workload is held at for a region routed
 /// zero traffic. The serving side genuinely admits nothing (see
@@ -49,201 +45,68 @@ impl ArrivalProcess for NoArrivals {
     }
 }
 
-/// Everything needed to stand up one regional fleet (bundled because the
-/// router derives most of it once and stamps out N fleets).
-pub struct FleetSpec<'a> {
-    /// Grid region whose trace this fleet serves under.
-    pub region: Region,
-    /// Position in the router's region list.
-    pub index: usize,
-    /// The fleet's derived master seed (already substream-isolated by the
-    /// router; the standard per-component salts are applied inside).
-    pub seed: u64,
-    /// The *experiment* seed, which keys the region's trace generator —
-    /// the grid does not care how many fleets the operator runs.
-    pub trace_seed: u64,
-    /// Model family served everywhere.
-    pub family: &'a Arc<ModelFamily>,
-    /// Device performance model.
-    pub perf: PerfModel,
-    /// Scheduling scheme each region runs locally.
-    pub scheme: &'a SchemeKind,
-    /// Global traffic scenario (per-region arrival rates are this shape
-    /// scaled by the routed weight).
-    pub workload: WorkloadKind,
-    /// Global offered base rate, req/s.
-    pub global_rate_rps: f64,
-    /// GPUs provisioned in this region.
-    pub n_gpus: usize,
-    /// Scale-down floor for the region's autoscaler.
-    pub min_gpus: usize,
-    /// Autoscaling policy.
-    pub scaling: ScalingPolicy,
-    /// Serving capacity one BASE GPU contributes, req/s.
-    pub capacity_per_gpu_rps: f64,
-    /// Utilization the autoscaler sizes toward.
-    pub utilization_target: f64,
-    /// Carbon-monitor re-optimization threshold.
-    pub monitor_threshold: f64,
-    /// SA parameters (already resolved against the control cadence).
-    pub sa: SaParams,
-    /// Simulated horizon, hours (sizes the trace).
-    pub horizon_hours: f64,
-}
-
-/// One region's complete serving stack plus its run-level accounting.
-pub struct RegionalFleet {
-    region: Region,
-    index: usize,
-    family: Arc<ModelFamily>,
-    perf: PerfModel,
-    workload: WorkloadKind,
-    global_rate_rps: f64,
-    capacity_per_gpu_rps: f64,
-    /// Router-side carbon view for snapshots; the control plane inside
-    /// owns its own monitor (same trace, same threshold).
-    monitor: CarbonMonitor,
-    plane: ControlPlane,
-    sim: ServingSim,
-    ledger: CarbonLedger,
-    hist: LatencyHistogram,
-    per_variant: Vec<f64>,
-    served_scaled: f64,
-    sim_events: u64,
-    optimization_time_s: f64,
-    active_gpu_hours: f64,
-    arrived: u64,
-    served: u64,
-    dropped: u64,
+/// One region's per-cell runtime plus its routing state.
+pub(crate) struct RegionalFleet {
+    pub(crate) region: Region,
+    /// Serving, accounting and control; always continuous (full epochs).
+    pub(crate) cell: CellRuntime,
+    /// Live-traffic requests served in this region.
+    pub(crate) served: u64,
+    /// IT energy per request of the last epoch that served any.
     recent_energy_per_request_j: f64,
-    last_fleet: FleetState,
     down: bool,
 }
 
 impl RegionalFleet {
-    /// Builds the fleet: trace, monitor, scheduler, evaluator, scaler,
-    /// control plane and serving simulator, all seeded from
-    /// [`FleetSpec::seed`] with the same per-component salts the
-    /// single-cluster runtime uses.
-    pub fn new(spec: FleetSpec<'_>) -> Self {
-        // The trace covers the horizon but never less than the standard
-        // 48-hour evaluation span, so short-horizon router studies sample
-        // the same grid the single-region figures do.
-        let hours = (spec.horizon_hours.ceil() as usize).max(48);
-        let trace = Arc::new(spec.region.trace(hours, spec.trace_seed));
-        let monitor = CarbonMonitor::new(trace.clone(), spec.monitor_threshold);
-        let plane_monitor = CarbonMonitor::new(trace.clone(), spec.monitor_threshold);
-
-        let initial = Deployment::base(spec.family, spec.n_gpus);
-        let scheduler = make_scheduler(spec.scheme, spec.family, spec.n_gpus, spec.sa);
-        let evaluator = DesEvaluator::new(
-            spec.family.clone(),
-            spec.perf,
-            spec.global_rate_rps * PLANNING_FLOOR_W,
-            initial.clone(),
-            spec.seed ^ 0xE7A1,
-        );
-        let mut scaler_cfg = ScalerConfig::new(
-            spec.scaling,
-            spec.min_gpus,
-            spec.n_gpus,
-            spec.capacity_per_gpu_rps,
-        );
-        scaler_cfg.target_utilization = spec.utilization_target;
-        let scaler = Scaler::new(scaler_cfg);
-        let rng = SimRng::new(spec.seed ^ 0x5C8E);
-        let plane = ControlPlane::new(scheduler, plane_monitor, scaler, evaluator, rng);
-        let sim = ServingSim::new(spec.family.clone(), spec.perf, initial, spec.seed ^ 0x11);
-
+    pub(crate) fn new(region: Region, cell: CellRuntime) -> Self {
         RegionalFleet {
-            region: spec.region,
-            index: spec.index,
-            family: spec.family.clone(),
-            perf: spec.perf,
-            workload: spec.workload,
-            global_rate_rps: spec.global_rate_rps,
-            capacity_per_gpu_rps: spec.capacity_per_gpu_rps,
-            monitor,
-            plane,
-            sim,
-            ledger: CarbonLedger::new(trace, Pue::PAPER_DEFAULT),
-            hist: LatencyHistogram::for_latency(),
-            per_variant: vec![0.0; spec.family.len()],
-            served_scaled: 0.0,
-            sim_events: 0,
-            optimization_time_s: 0.0,
-            active_gpu_hours: 0.0,
-            arrived: 0,
+            region,
+            cell,
             served: 0,
-            dropped: 0,
             recent_energy_per_request_j: 0.0,
-            last_fleet: FleetState {
-                active: spec.n_gpus,
-                warming: 0,
-                draining: 0,
-                off: 0,
-            },
             down: false,
         }
     }
 
-    /// Wires the telemetry profiler into the plane and simulator.
-    pub fn set_profiler(&mut self, telemetry: &Telemetry) {
-        self.plane.set_profiler(telemetry.profiler());
-        self.sim.set_profiler(telemetry.profiler());
-    }
-
-    /// The fleet's grid region.
-    pub fn region(&self) -> Region {
-        self.region
-    }
-
     /// Whether the region is inside an outage window.
-    pub fn is_down(&self) -> bool {
+    pub(crate) fn is_down(&self) -> bool {
         self.down
     }
 
     /// Backlog (queued + in-flight) the fleet carries right now.
-    pub fn backlog(&self) -> u64 {
-        self.plane.backlog()
+    pub(crate) fn backlog(&self) -> u64 {
+        self.cell.serving.carry().backlog()
     }
 
-    /// Requests waiting in the boundary carry's queue.
-    pub fn queued(&self) -> usize {
-        self.plane.carry().queued()
-    }
-
-    /// GPUs actively serving after the last planning round.
-    pub fn active_gpus(&self) -> usize {
-        self.last_fleet.active
-    }
-
-    /// The boundary carry, for backlog rebalancing between epochs.
-    pub fn carry_mut(&mut self) -> &mut ServingCarry {
-        self.plane.carry_mut()
-    }
-
-    /// What a routing policy sees of this region at `t`: current and
-    /// lookahead carbon (hourly samples of the router-side monitor),
-    /// queue state, and live capacity.
-    pub fn snapshot(&self, t: SimTime, lookahead_h: f64, prev_weight: f64) -> RegionSnapshot {
+    /// What a routing policy sees of region `index` at `t`: current and
+    /// lookahead carbon (hourly samples of the region's trace), queue
+    /// state, and live capacity.
+    pub(crate) fn snapshot(
+        &self,
+        index: usize,
+        t: SimTime,
+        lookahead_h: f64,
+        prev_weight: f64,
+        capacity_per_gpu_rps: f64,
+    ) -> RegionSnapshot {
+        let ci_at = |at: SimTime| self.cell.tally.intensity_at(at).g_per_kwh();
         let hours = (lookahead_h.ceil() as usize).max(1);
         let mut sum = 0.0;
         for k in 0..hours {
-            let at = SimTime::from_secs(t.as_secs() + k as f64 * 3600.0);
-            sum += self.monitor.intensity_at(at).g_per_kwh();
+            sum += ci_at(SimTime::from_secs(t.as_secs() + k as f64 * 3600.0));
         }
-        let carry = self.plane.carry();
+        let carry = self.cell.serving.carry();
+        let active = self.cell.fleet().active;
         RegionSnapshot {
-            index: self.index,
+            index,
             label: self.region.to_string(),
             up: !self.down,
-            ci_now_g_per_kwh: self.monitor.intensity_at(t).g_per_kwh(),
+            ci_now_g_per_kwh: ci_at(t),
             ci_forecast_g_per_kwh: sum / hours as f64,
             queued: carry.queued() as u64,
             in_flight: carry.in_flight() as u64,
-            active_gpus: self.last_fleet.active,
-            capacity_rps: self.last_fleet.active as f64 * self.capacity_per_gpu_rps,
+            active_gpus: active,
+            capacity_rps: active as f64 * capacity_per_gpu_rps,
             energy_per_request_j: self.recent_energy_per_request_j,
             prev_weight,
         }
@@ -255,9 +118,9 @@ impl RegionalFleet {
     /// transfer latency, and handed to the router's transit pool. The
     /// scaler and ledger freeze until [`RegionalFleet::restore`]; dark
     /// boards draw nothing.
-    pub fn go_dark(&mut self, transfer_latency_s: f64) -> Vec<f64> {
+    pub(crate) fn go_dark(&mut self, transfer_latency_s: f64) -> Vec<f64> {
         self.down = true;
-        let mut ages = self.plane.carry_mut().drain_for_migration();
+        let mut ages = self.cell.serving.carry_mut().drain_for_migration();
         for a in &mut ages {
             *a += transfer_latency_s;
         }
@@ -267,92 +130,37 @@ impl RegionalFleet {
     /// Brings the region back after an outage (empty carry, scaler state
     /// as the outage left it — warm-up happens through the normal epoch
     /// loop).
-    pub fn restore(&mut self) {
+    pub(crate) fn restore(&mut self) {
         self.down = false;
     }
 
-    /// Runs one control epoch at routed `weight`: plan (against the
-    /// weight-scaled workload, floored at [`PLANNING_FLOOR_W`]), serve the
-    /// full epoch continuously (weight zero serves [`NoArrivals`] — the
-    /// backlog still drains), account energy and overhead power, and feed
-    /// the serving observation back to the plane.
+    /// Runs one control epoch at routed `weight` of the `global` workload:
+    /// plan against the weight-scaled workload (floored at
+    /// [`PLANNING_FLOOR_W`]), then serve the full epoch continuously
+    /// (weight zero serves [`NoArrivals`] — the backlog still drains).
     ///
     /// Must not be called while the region is dark.
-    pub fn serve_epoch(
+    pub(crate) fn serve_epoch(
         &mut self,
         epoch: &ControlEpoch,
-        epoch_len: SimDuration,
         weight: f64,
+        global: &Workload,
         objective: &Objective,
         telemetry: &mut Telemetry,
     ) -> WindowMetrics {
         assert!(!self.down, "a dark region serves nothing");
-        let t = epoch.start;
-        let planning = Workload::new(
-            self.workload.clone(),
-            weight.max(PLANNING_FLOOR_W) * self.global_rate_rps,
-        );
-        // `env` borrows locals only (the family handle is cheap to clone),
-        // so the accounting below can still take `&mut self`.
-        let family = self.family.clone();
-        let perf = self.perf;
-        let env = PlaneEnv {
-            family: &family,
-            perf: &perf,
-            objective,
-            workload: &planning,
+        let scaled = |w: f64| Workload::new(global.kind().clone(), w * global.mean_rate());
+        let planning = scaled(weight.max(PLANNING_FLOOR_W));
+        self.cell.plan(epoch, objective, &planning, telemetry);
+        let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
+            scaled(weight).process_from(epoch.start)
+        } else {
+            Box::new(NoArrivals)
         };
-        let plan = self.plane.begin_epoch_with(epoch, &env, telemetry);
-        let fleet = plan.fleet;
-        self.last_fleet = fleet;
-        self.active_gpu_hours += fleet.active as f64 * epoch_len.as_secs() / 3600.0;
-        if let Some(run) = plan.run {
-            self.optimization_time_s += run.time_spent_s;
-        }
-        // Exploration traffic is real traffic: fold candidate windows in
-        // 1:1, exactly as the single-cluster runtime does.
-        for w in &plan.eval_windows {
-            self.sim_events += w.sim_events;
-            self.accumulate(t, w);
-        }
-        if let Some(deployment) = plan.deployment {
-            self.sim.set_deployment(deployment);
-        }
-
-        let w = {
-            let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
-                Workload::new(self.workload.clone(), weight * self.global_rate_rps).process_from(t)
-            } else {
-                Box::new(NoArrivals)
-            };
-            let des_scope = telemetry.scope(Phase::Des);
-            let w = self
-                .plane
-                .serve_continuous(&mut self.sim, arrivals.as_mut(), epoch_len);
-            drop(des_scope);
-            w
-        };
-        self.sim_events += w.sim_events;
-        self.accumulate(t, &w);
-
-        // Scaled-out boards still cost power: standby draw when off,
-        // the full static floor while warming, static + one idle-slice
-        // residual while draining (same accounting as the single-cluster
-        // runtime; no GPU-level chaos inside a fleet, so the off count
-        // needs no down-board carve-out).
-        let overhead_w = fleet.off as f64 * self.perf.power.standby_gpu_w()
-            + fleet.warming as f64 * self.perf.power.gpu_static_w();
-        self.ledger.record_power(t, epoch_len, overhead_w);
-        if fleet.draining > 0 {
-            let drain_w = fleet.draining as f64
-                * (self.perf.power.gpu_static_w() + self.perf.power.idle_slice_w(SliceType::G7));
-            self.ledger.record_power(t, epoch_len, drain_w);
-        }
-
-        self.plane.observe_serving(epoch, &w, &env);
-        self.arrived += w.arrived;
+        let w = self
+            .cell
+            .serve(epoch, arrivals.as_mut(), objective, &planning, telemetry);
         self.served += w.served;
-        self.dropped += w.dropped;
         // What a request actually cost here this epoch — the routing
         // policies relativize grid intensity by it (a clean grid serving
         // the big hungry variants is less attractive than its intensity
@@ -361,70 +169,5 @@ impl RegionalFleet {
             self.recent_energy_per_request_j = w.it_energy_j() / w.served as f64;
         }
         w
-    }
-
-    fn accumulate(&mut self, at: SimTime, w: &WindowMetrics) {
-        self.ledger
-            .record_energy_at(at, Energy::from_joules(w.it_energy_j()));
-        self.hist.merge(&w.latency_hist);
-        for (acc, &n) in self.per_variant.iter_mut().zip(w.per_variant_served.iter()) {
-            *acc += n as f64;
-        }
-        self.served_scaled += w.served as f64;
-    }
-
-    /// Operational carbon attributed to this region so far, grams.
-    pub fn carbon_g(&self) -> f64 {
-        self.ledger.carbon().grams()
-    }
-
-    /// IT (device) energy accounted so far, joules.
-    pub fn it_energy_j(&self) -> f64 {
-        self.ledger.it_energy().joules()
-    }
-
-    /// The run-level latency distribution served from this region.
-    pub fn hist(&self) -> &LatencyHistogram {
-        &self.hist
-    }
-
-    /// Served counts per variant ordinal (for global accuracy).
-    pub fn per_variant(&self) -> &[f64] {
-        &self.per_variant
-    }
-
-    /// Requests served (eval windows included), for per-request metrics.
-    pub fn served_scaled(&self) -> f64 {
-        self.served_scaled
-    }
-
-    /// Discrete events simulated in this region.
-    pub fn sim_events(&self) -> u64 {
-        self.sim_events
-    }
-
-    /// Scheduler search time charged in this region, seconds.
-    pub fn optimization_time_s(&self) -> f64 {
-        self.optimization_time_s
-    }
-
-    /// GPU-hours the active fleet accumulated.
-    pub fn active_gpu_hours(&self) -> f64 {
-        self.active_gpu_hours
-    }
-
-    /// Live-traffic arrivals admitted in this region.
-    pub fn arrived(&self) -> u64 {
-        self.arrived
-    }
-
-    /// Live-traffic requests served in this region.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Live-traffic requests dropped in this region.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }

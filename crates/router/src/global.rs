@@ -1,8 +1,9 @@
 //! The global router: one serving system spanning N grid regions.
 //!
 //! A [`GlobalRouter`] is the multi-region counterpart of the single-cluster
-//! experiment runtime. It stands up one [`RegionalFleet`] per configured
-//! region and, each control epoch:
+//! experiment runtime. It stands up one regional fleet (a
+//! [`clover_core::cell::CellRuntime`]) per configured region and, each
+//! control epoch:
 //!
 //! 1. reconciles region outages ([`clover_core::chaos::FaultSpec::RegionOutage`])
 //!    — a region going dark drains its entire backlog into a transit pool,
@@ -34,17 +35,21 @@
 //! requests age in place, and serving resumes at the first boundary with a
 //! live region.
 
-use crate::fleet::{FleetSpec, RegionalFleet};
+use crate::fleet::RegionalFleet;
 use crate::policy::{make_route_policy, RouteCtx};
 use clover_carbon::{CarbonIntensity, Region};
 use clover_core::anneal::SaParams;
+use clover_core::cell::{
+    calibration_window, per_served, served_accuracy_pct, CellRuntime, CellSpec,
+};
 use clover_core::chaos::ChaosConfig;
-use clover_core::control::{EpochSchedule, SearchBudget};
+use clover_core::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
+use clover_core::objective::validate_lambda;
 use clover_core::schedulers::SchemeKind;
 use clover_core::{Objective, ScalingPolicy};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, ServingSim};
+use clover_serving::{analytic, Deployment};
 use clover_simkit::{LatencyHistogram, SimDuration, SimRng};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
@@ -282,7 +287,9 @@ impl RouterConfigBuilder {
     /// Validates and returns the config.
     ///
     /// # Panics
-    /// On an empty region list, out-of-range rates/ceilings, a negative
+    /// On an empty region list, an objective weight λ outside `(0, 1]` or a
+    /// control cadence that does not evenly divide one hour (both with the
+    /// experiment builder's messages), out-of-range rates/ceilings, a negative
     /// or non-finite transfer latency, an invalid chaos config, or a
     /// `RegionOutage` naming a region index outside the fleet.
     pub fn build(self) -> RouterConfig {
@@ -295,11 +302,12 @@ impl RouterConfigBuilder {
             "1 <= min_gpus <= n_gpus_per_region"
         );
         assert!(cfg.horizon_hours > 0.0, "positive horizon");
+        let _ = per_hour_or_panic(cfg.control_epoch_s);
         assert!(
             cfg.utilization_target > 0.0 && cfg.utilization_target <= 1.0,
             "utilization in (0, 1]"
         );
-        assert!((0.0..=1.0).contains(&cfg.lambda), "lambda in [0, 1]");
+        validate_lambda(cfg.lambda);
         assert!(cfg.sla_headroom >= 1.0, "SLA headroom >= 1");
         assert!(
             cfg.transfer_latency_s.is_finite() && cfg.transfer_latency_s >= 0.0,
@@ -557,12 +565,7 @@ impl GlobalRouter {
         let rate_rps = capacity * n * cfg.utilization_target;
         let workload = Workload::new(cfg.workload.clone(), rate_rps);
 
-        let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
-        let w = calib.run_window(
-            rate_rps / n,
-            SimDuration::from_secs(160.0),
-            SimDuration::from_secs(16.0),
-        );
+        let w = calibration_window(&family, perf, base_ref, rate_rps / n, cfg.seed);
         let base_energy = w.energy_per_request_j().expect("calibration served");
         let base_p95 = w.p95_latency_s.expect("calibration served");
         let sla = base_p95 * cfg.sla_headroom;
@@ -636,22 +639,23 @@ impl GlobalRouter {
         let mut policy = make_route_policy(&cfg.policy);
         let mut route_rng = SimRng::new(cfg.seed ^ ROUTE_SALT);
         let seeder = SimRng::new(cfg.seed ^ FLEET_SALT);
+        // Each region's trace covers the horizon but never less than the
+        // standard 48-hour evaluation span, so short-horizon router studies
+        // sample the same grid the single-region figures do.
+        let trace_hours = (cfg.horizon_hours.ceil() as usize).max(48);
         let mut fleets: Vec<RegionalFleet> = cfg
             .regions
             .iter()
             .enumerate()
             .map(|(i, &region)| {
-                let seed = seeder.substream(i as u64).next_u64();
-                RegionalFleet::new(FleetSpec {
-                    region,
-                    index: i,
-                    seed,
-                    trace_seed: cfg.seed,
+                let cell = CellRuntime::new(CellSpec {
                     family: &self.family,
                     perf: self.perf,
+                    // Keyed by the experiment seed: the grid does not care
+                    // how many fleets the operator runs.
+                    trace: Arc::new(region.trace(trace_hours, cfg.seed)),
+                    seed: seeder.substream(i as u64).next_u64(),
                     scheme: &cfg.scheme,
-                    workload: cfg.workload.clone(),
-                    global_rate_rps: self.rate_rps,
                     n_gpus: cfg.n_gpus_per_region,
                     min_gpus: cfg.min_gpus,
                     scaling: cfg.scaling,
@@ -659,13 +663,14 @@ impl GlobalRouter {
                     utilization_target: cfg.utilization_target,
                     monitor_threshold: cfg.monitor_threshold,
                     sa,
-                    horizon_hours: cfg.horizon_hours,
-                })
+                    fidelity: &Fidelity::FullEpoch,
+                    schedule: &schedule,
+                });
+                let mut fleet = RegionalFleet::new(region, cell);
+                fleet.cell.set_profiler(telemetry);
+                fleet
             })
             .collect();
-        for f in &mut fleets {
-            f.set_profiler(telemetry);
-        }
         // Region outages, as (region, start_s, end_s), already validated.
         let outages = cfg.chaos.region_outages();
 
@@ -736,7 +741,15 @@ impl GlobalRouter {
             let snapshots: Vec<_> = fleets
                 .iter()
                 .enumerate()
-                .map(|(i, f)| f.snapshot(t, cfg.forecast_lookahead_h, prev_weights[i]))
+                .map(|(i, f)| {
+                    f.snapshot(
+                        i,
+                        t,
+                        cfg.forecast_lookahead_h,
+                        prev_weights[i],
+                        self.capacity_per_gpu_rps,
+                    )
+                })
                 .collect();
             let raw = policy.weights(&mut RouteCtx {
                 epoch: &epoch,
@@ -795,8 +808,8 @@ impl GlobalRouter {
                 if up[i] {
                     let w = fleet.serve_epoch(
                         &epoch,
-                        epoch_len,
                         weights[i],
+                        &self.workload,
                         &self.objective,
                         telemetry,
                     );
@@ -871,7 +884,10 @@ impl GlobalRouter {
                 t_hours: epoch.start_hours(),
                 weights: weights.clone(),
                 ci_g_per_kwh: snapshots.iter().map(|s| s.ci_now_g_per_kwh).collect(),
-                active_gpus: fleets.iter().map(|f| f.active_gpus() as u32).collect(),
+                active_gpus: fleets
+                    .iter()
+                    .map(|f| f.cell.fleet().active as u32)
+                    .collect(),
                 down: up.iter().map(|&u| !u).collect(),
                 arrived: e_arrived,
                 served: e_served,
@@ -883,32 +899,21 @@ impl GlobalRouter {
             prev_weights = weights;
         }
 
-        // Global roll-up across the regional ledgers and histograms.
+        // Global roll-up across the regional tallies.
         let epochs = schedule.count().max(1) as f64;
-        let total_carbon_g: f64 = fleets.iter().map(|f| f.carbon_g()).sum();
-        let it_energy_j: f64 = fleets.iter().map(|f| f.it_energy_j()).sum();
-        let served_scaled: f64 = fleets.iter().map(|f| f.served_scaled()).sum();
+        let tallies = || fleets.iter().map(|f| &f.cell.tally);
+        let total_carbon_g: f64 = tallies().map(|t| t.carbon_g()).sum();
+        let it_energy_j: f64 = tallies().map(|t| t.it_energy_j()).sum();
+        let served_scaled: f64 = tallies().map(|t| t.served_scaled()).sum();
         let mut hist = LatencyHistogram::for_latency();
         let mut per_variant = vec![0.0f64; self.family.len()];
-        for f in &fleets {
-            hist.merge(f.hist());
-            for (acc, v) in per_variant.iter_mut().zip(f.per_variant().iter()) {
+        for t in tallies() {
+            hist.merge(t.hist());
+            for (acc, v) in per_variant.iter_mut().zip(t.per_variant().iter()) {
                 *acc += v;
             }
         }
-        let accuracy_pct = {
-            let total: f64 = per_variant.iter().sum();
-            if total == 0.0 {
-                self.family.accuracy_base()
-            } else {
-                per_variant
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| self.family.variants[i].accuracy_pct * c)
-                    .sum::<f64>()
-                    / total
-            }
-        };
+        let accuracy_pct = served_accuracy_pct(&self.family, &per_variant);
         let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
 
         GlobalOutcome {
@@ -923,22 +928,14 @@ impl GlobalRouter {
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
             total_carbon_g,
-            region_carbon_g: fleets.iter().map(|f| f.carbon_g()).collect(),
-            region_served: fleets.iter().map(|f| f.served()).collect(),
+            region_carbon_g: tallies().map(|t| t.carbon_g()).collect(),
+            region_served: fleets.iter().map(|f| f.served).collect(),
             mean_weights: weight_sums.iter().map(|s| s / epochs).collect(),
             accuracy_pct,
             p95_s,
             sla_met: p95_s <= self.objective.l_tail_s,
-            energy_per_request_j: if served_scaled > 0.0 {
-                it_energy_j / served_scaled
-            } else {
-                f64::NAN
-            },
-            carbon_per_request_g: if served_scaled > 0.0 {
-                total_carbon_g / served_scaled
-            } else {
-                f64::NAN
-            },
+            energy_per_request_j: per_served(it_energy_j, served_scaled),
+            carbon_per_request_g: per_served(total_carbon_g, served_scaled),
             arrived,
             served,
             dropped,
@@ -947,11 +944,14 @@ impl GlobalRouter {
             migrated_requests,
             migration_boundaries,
             outage_epochs,
-            mean_active_gpus: fleets.iter().map(|f| f.active_gpu_hours()).sum::<f64>()
+            mean_active_gpus: fleets
+                .iter()
+                .map(|f| f.cell.active_gpu_hours())
+                .sum::<f64>()
                 / (epochs * schedule.epoch_hours()),
             served_scaled,
-            optimization_time_s: fleets.iter().map(|f| f.optimization_time_s()).sum(),
-            sim_events: fleets.iter().map(|f| f.sim_events()).sum(),
+            optimization_time_s: fleets.iter().map(|f| f.cell.optimization_time_s()).sum(),
+            sim_events: tallies().map(|t| t.sim_events()).sum(),
             conservation_leak,
             boundary_leak,
             timeline,
@@ -1006,7 +1006,7 @@ fn rebalance_backlog(
         .iter()
         .zip(up.iter())
         .filter(|(_, &u)| u)
-        .map(|(f, _)| f.queued() as u64)
+        .map(|(f, _)| f.cell.serving.carry().queued() as u64)
         .sum();
     if total_queued == 0 {
         return 0;
@@ -1018,11 +1018,15 @@ fn rebalance_backlog(
         if !up[i] {
             continue;
         }
-        let queued = fleet.queued() as u64;
+        let queued = fleet.cell.serving.carry().queued() as u64;
         let target = weights[i] * total_queued as f64;
         if (queued as f64) > target + slack as f64 {
             let excess = queued - target.ceil() as u64;
-            let mut taken = fleet.carry_mut().take_queued_newest(excess as usize);
+            let mut taken = fleet
+                .cell
+                .serving
+                .carry_mut()
+                .take_queued_newest(excess as usize);
             for a in &mut taken {
                 *a += transfer_latency_s;
             }
@@ -1049,13 +1053,19 @@ fn rebalance_backlog(
         }
         let take = (deficit as usize).min(pool.len() - cursor);
         fleets[i]
+            .cell
+            .serving
             .carry_mut()
             .absorb_queued(&pool[cursor..cursor + take]);
         cursor += take;
     }
     if cursor < pool.len() {
         let first_up = up.iter().position(|&u| u).expect("n_up > 1");
-        fleets[first_up].carry_mut().absorb_queued(&pool[cursor..]);
+        fleets[first_up]
+            .cell
+            .serving
+            .carry_mut()
+            .absorb_queued(&pool[cursor..]);
     }
     moved
 }
@@ -1103,6 +1113,8 @@ fn deliver_transit(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64], m
             continue;
         }
         fleets[i]
+            .cell
+            .serving
             .carry_mut()
             .absorb_queued(&pool[cursor..cursor + count]);
         cursor += count;

@@ -11,9 +11,11 @@
 //!
 //! Three layers:
 //!
-//! - [`RegionalFleet`] — one region's full serving stack (trace, monitor,
-//!   autoscaler, control plane, continuous serving simulator, carbon
-//!   ledger) on its own RNG substream;
+//! - regional fleets — one [`clover_core::cell::CellRuntime`] per region,
+//!   the per-cell runtime the single-cluster experiment runs too (control
+//!   plane, continuous serving simulator with its boundary carry, carbon
+//!   tally), on the region's own trace and RNG substream, plus the
+//!   region's outage state;
 //! - [`RoutePolicy`] and the [`RoutePolicyRegistry`] — pluggable traffic
 //!   splits: `uniform` (per-region-local, the baseline), `random`,
 //!   `round-robin`, `smallest-queue`, and the carbon-aware `carbon-greedy`
@@ -36,7 +38,7 @@ pub mod fleet;
 pub mod global;
 pub mod policy;
 
-pub use fleet::{FleetSpec, NoArrivals, RegionalFleet, PLANNING_FLOOR_W};
+pub use fleet::{NoArrivals, PLANNING_FLOOR_W};
 pub use global::{
     GlobalOutcome, GlobalRouter, RouterConfig, RouterConfigBuilder, RouterEpochPoint,
 };

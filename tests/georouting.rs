@@ -232,14 +232,10 @@ fn router_cells_reproduce_their_pinned_digests() {
 ///   adding a region never re-deals another region's draws, while the
 ///   experiment salts its components from `seed` itself;
 /// - the fleet's carbon trace (and with it `C_base`) comes from
-///   `Region::trace` over at least 48 hours, not from `Region::eval_trace`;
-/// - the fleet's evaluator is built at the planning floor
-///   (`PLANNING_FLOOR_W` × the global rate) and its planning workload is
-///   rebuilt every epoch from the routed weight. At weight 1 the first
-///   plan overwrites that rate, so this one alone would not change a bit.
+///   `Region::trace` over at least 48 hours, not from `Region::eval_trace`.
 ///
-/// Reconciling the first two would re-deal every pinned router or
-/// experiment digest, so the degeneracy is checked on the routing shape.
+/// Reconciling either would re-deal every pinned router or experiment
+/// digest, so the degeneracy is checked on the routing shape.
 #[test]
 fn a_single_region_fleet_degenerates_to_weight_one() {
     let mut cfg = RouterConfig::builder(Application::LanguageModeling)
@@ -267,6 +263,24 @@ fn a_single_region_fleet_degenerates_to_weight_one() {
     }
     assert_eq!(out.migrated_requests, 0, "nowhere to migrate to");
     assert_eq!(out.conservation_leak, 0);
+}
+
+#[test]
+#[should_panic(expected = "lambda must lie in (0, 1]")]
+fn zero_lambda_is_rejected_like_the_experiment_builder() {
+    let _ = RouterConfig::builder(Application::LanguageModeling)
+        .lambda(0.0)
+        .build();
+}
+
+#[test]
+#[should_panic(expected = "evenly divide one hour")]
+fn ragged_cadence_is_rejected_at_build_time() {
+    // 700 s epochs would straddle the hourly carbon-trace samples; the
+    // builder must refuse them instead of `run_with` panicking later.
+    let _ = RouterConfig::builder(Application::LanguageModeling)
+        .control_epoch_s(700.0)
+        .build();
 }
 
 /// Sends everything to the region with the lowest instantaneous
